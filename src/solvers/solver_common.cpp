@@ -17,14 +17,13 @@ namespace blas {
 
 double dot(std::span<const value_t> a, std::span<const value_t> b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  double sum = 0;
-  const auto n = static_cast<std::int64_t>(a.size());
-#pragma omp parallel for schedule(static) reduction(+ : sum)
-  for (std::int64_t i = 0; i < n; ++i) {
-    sum += static_cast<double>(a[static_cast<std::size_t>(i)]) *
-           static_cast<double>(b[static_cast<std::size_t>(i)]);
-  }
-  return sum;
+  return ordered_sum(a.size(), [&](std::size_t begin, std::size_t end) {
+    double sum = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    }
+    return sum;
+  });
 }
 
 double norm2(std::span<const value_t> a) { return std::sqrt(dot(a, a)); }

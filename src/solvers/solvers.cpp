@@ -34,14 +34,17 @@ SolverResult solve_jacobi(const SpmvOperator& spmv,
   for (res.iterations = 1; res.iterations <= opts.max_iterations;
        ++res.iterations) {
     spmv(res.x, ax);
-    double norm = 0;
-#pragma omp parallel for schedule(static) reduction(+ : norm)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const value_t r = b[idx] - ax[idx];
-      norm += static_cast<double>(r) * r;
-      res.x[idx] += r / diagonal[idx];
-    }
+    // One sweep: accumulate ||b - Ax||^2 and take the Jacobi step.
+    const double norm =
+        blas::ordered_sum(n, [&](std::size_t begin, std::size_t end) {
+          double sum = 0;
+          for (std::size_t i = begin; i < end; ++i) {
+            const value_t r = b[i] - ax[i];
+            sum += static_cast<double>(r) * r;
+            res.x[i] += r / diagonal[i];
+          }
+          return sum;
+        });
     res.residual_norm = std::sqrt(norm);
     if (res.residual_norm < opts.tolerance) {
       res.converged = true;

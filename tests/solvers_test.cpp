@@ -1,6 +1,7 @@
 // Tests for the iterative solver library.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 
@@ -87,6 +88,61 @@ TEST(Blas, AxpyXpbyScaleCopy) {
   std::vector<value_t> z(2);
   blas::copy(y, z);
   EXPECT_EQ(z, y);
+}
+
+/// The reductions add in a fixed order that depends only on the length:
+/// dot, norm2 and every solver's iterates are bit-identical at 1, 2, 3 and 8
+/// threads. An OpenMP `reduction(+)` moves the last bits with the thread
+/// count, and from 3 threads on also from run to run (partials combine in
+/// arrival order). The length spans several blocks plus a partial tail.
+TEST(Blas, ReductionsAndSolversBitIdenticalAcrossThreadCounts) {
+  const int ambient = omp_get_max_threads();
+  const CsrMatrix spd = spd_system(73, 71);  // 5 full blocks + 63
+  const CsrMatrix dominant = dominant_system(spd.nrows(), 8);
+  const auto n = static_cast<std::size_t>(spd.nrows());
+  ASSERT_GT(n, 4 * blas::kSumBlock);
+  ASSERT_NE(n % blas::kSumBlock, 0u);
+  // Magnitudes spanning many binades, so a different summation order
+  // rounds differently.
+  std::vector<value_t> a = random_vector(n, 31);
+  const std::vector<value_t> b = random_vector(n, 32);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] *= std::ldexp(1.0, static_cast<int>(i % 40) - 20);
+  }
+
+  struct Run {
+    double dot, norm;
+    SolverResult cg, jacobi, bicgstab;
+  };
+  const SolverOptions opts{.max_iterations = 60, .tolerance = 1e-12};
+  const auto run_all = [&] {
+    return Run{blas::dot(a, b), blas::norm2(a),
+               solve_cg(make_csr_operator(spd), b, opts),
+               solve_jacobi(make_csr_operator(dominant), diagonal_of(dominant),
+                            b, opts),
+               solve_bicgstab(make_csr_operator(dominant), b, opts)};
+  };
+  const auto expect_same = [](const SolverResult& want, const SolverResult& got,
+                              const char* solver, int threads) {
+    EXPECT_EQ(got.x, want.x) << solver << " @ " << threads << " threads";
+    EXPECT_EQ(got.residual_norm, want.residual_norm)
+        << solver << " @ " << threads << " threads";
+    EXPECT_EQ(got.iterations, want.iterations)
+        << solver << " @ " << threads << " threads";
+  };
+
+  omp_set_num_threads(1);
+  const Run want = run_all();
+  for (const int threads : {2, 3, 8}) {
+    omp_set_num_threads(threads);
+    const Run got = run_all();
+    EXPECT_EQ(got.dot, want.dot) << threads << " threads";
+    EXPECT_EQ(got.norm, want.norm) << threads << " threads";
+    expect_same(want.cg, got.cg, "cg", threads);
+    expect_same(want.jacobi, got.jacobi, "jacobi", threads);
+    expect_same(want.bicgstab, got.bicgstab, "bicgstab", threads);
+  }
+  omp_set_num_threads(ambient);
 }
 
 // ---------------------------------------------------------- solvers ----
