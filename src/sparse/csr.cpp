@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,6 +12,13 @@
 #include "util/error.hpp"
 
 namespace wise {
+
+namespace {
+
+/// Nonzeros below which validate() skips its parallel pre-scan.
+constexpr std::int64_t kValidateParallelMin = 1 << 13;
+
+}  // namespace
 
 CsrMatrix::CsrMatrix(index_t nrows, index_t ncols, std::vector<nnz_t> row_ptr,
                      aligned_vector<index_t> col_idx,
@@ -150,7 +158,40 @@ void CsrMatrix::validate() const {
     throw Error(ErrorCategory::kValidation,
                 "CsrMatrix: array length mismatch");
   }
-  for (index_t i = 0; i < nrows_; ++i) {
+  // A parallel scan finds the first bad row and the first non-finite value
+  // (integer min reductions, so the result is the same at any thread count);
+  // the serial loops below then start there and throw exactly the message a
+  // full serial scan would. Small matrices skip the scan and start at 0.
+  index_t first_row = 0;
+  std::int64_t first_val = 0;
+  const auto n_vals = static_cast<std::int64_t>(vals_.size());
+  if (n_vals > kValidateParallelMin && omp_get_max_threads() > 1) {
+    first_row = nrows_;
+    first_val = n_vals;
+    const nnz_t* rp = row_ptr_.data();
+    const index_t* ci = col_idx_.data();
+    const value_t* v = vals_.data();
+#pragma omp parallel
+    {
+#pragma omp for schedule(dynamic, 1024) reduction(min : first_row) nowait
+      for (index_t i = 0; i < nrows_; ++i) {
+        const nnz_t lo = rp[i];
+        const nnz_t hi = rp[i + 1];
+        // Strictly ascending from an in-range first column implies every
+        // column is >= 0, so this flags exactly the rows the loop below does.
+        bool row_bad = hi > lo && (ci[lo] < 0 || ci[lo] >= ncols_);
+        for (nnz_t k = lo + 1; k < hi; ++k) {
+          row_bad |= (ci[k] >= ncols_) | (ci[k] <= ci[k - 1]);
+        }
+        if (row_bad) first_row = std::min(first_row, i);
+      }
+#pragma omp for simd schedule(static) reduction(min : first_val)
+      for (std::int64_t k = 0; k < n_vals; ++k) {
+        first_val = std::isfinite(v[k]) ? first_val : std::min(first_val, k);
+      }
+    }
+  }
+  for (index_t i = first_row; i < nrows_; ++i) {
     const auto cols = row_cols(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {
       if (cols[k] < 0 || cols[k] >= ncols_) {
@@ -165,7 +206,7 @@ void CsrMatrix::validate() const {
       }
     }
   }
-  for (std::size_t k = 0; k < vals_.size(); ++k) {
+  for (auto k = static_cast<std::size_t>(first_val); k < vals_.size(); ++k) {
     if (!std::isfinite(vals_[k])) {
       throw Error(ErrorCategory::kValidation,
                   "CsrMatrix: non-finite value at nonzero " +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,6 +12,11 @@
 namespace wise {
 
 namespace {
+
+/// Below this many rows (stable sorts, chunk lengths) or slots (fill,
+/// validation) a region runs serially: waking a team costs more than the
+/// loop. A constant, so layouts never depend on it — only speed does.
+constexpr std::int64_t kParallelMin = 1 << 13;
 
 /// Builds one column segment [col_begin, col_end) of `src` with the chunked,
 /// slot-major SRVPack layout.
@@ -23,38 +29,56 @@ SrvSegment build_segment(const CsrMatrix& src, index_t col_begin,
   seg.col_begin = col_begin;
   seg.col_end = col_end;
 
-  // Per-row sub-range of nonzeros falling inside the column window. Rows
-  // are column-sorted, so binary search gives the window in O(log nnz_row).
-  std::vector<nnz_t> lo_off(static_cast<std::size_t>(n));
-  std::vector<nnz_t> seg_nnz(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-  for (index_t i = 0; i < n; ++i) {
-    const auto cols = src.row_cols(i);
-    const auto lo = std::lower_bound(cols.begin(), cols.end(), col_begin);
-    const auto hi = std::lower_bound(lo, cols.end(), col_end);
-    lo_off[static_cast<std::size_t>(i)] =
-        src.row_ptr()[static_cast<std::size_t>(i)] + (lo - cols.begin());
-    seg_nnz[static_cast<std::size_t>(i)] = hi - lo;
+  // Per-row sub-range of nonzeros falling inside the column window. A
+  // window spanning every column is the whole row, read from row_ptr;
+  // otherwise rows are column-sorted, so binary search gives the window in
+  // O(log nnz_row).
+  const nnz_t* rp = src.row_ptr().data();
+  const bool whole_rows = col_begin == 0 && col_end >= src.ncols();
+  std::vector<nnz_t> lo_off;
+  std::vector<nnz_t> seg_nnz;
+  if (!whole_rows) {
+    lo_off.resize(static_cast<std::size_t>(n));
+    seg_nnz.resize(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static) if (n > kParallelMin)
+    for (index_t i = 0; i < n; ++i) {
+      const auto cols = src.row_cols(i);
+      const auto lo = std::lower_bound(cols.begin(), cols.end(), col_begin);
+      const auto hi = std::lower_bound(lo, cols.end(), col_end);
+      lo_off[static_cast<std::size_t>(i)] = rp[i] + (lo - cols.begin());
+      seg_nnz[static_cast<std::size_t>(i)] = hi - lo;
+    }
   }
+  const auto row_lo = [&](index_t r) {
+    return whole_rows ? rp[r] : lo_off[static_cast<std::size_t>(r)];
+  };
+  const auto row_len = [&](index_t r) {
+    return whole_rows ? rp[r + 1] - rp[r] : seg_nnz[static_cast<std::size_t>(r)];
+  };
 
   // Row ordering: natural, σ-windowed, or full RFS on the *segment* counts.
   std::vector<index_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   const bool full_sort = opts.sigma == kSigmaAll || opts.sigma >= n;
-  auto by_desc_nnz = [&seg_nnz](index_t a, index_t b) {
-    return seg_nnz[static_cast<std::size_t>(a)] >
-           seg_nnz[static_cast<std::size_t>(b)];
+  auto by_desc_nnz = [&row_len](index_t a, index_t b) {
+    return row_len(a) > row_len(b);
   };
   if (full_sort) {
     std::stable_sort(order.begin(), order.end(), by_desc_nnz);
     // Empty rows sorted to the tail contribute nothing; drop them so the
     // kernel skips them entirely (y is zero-initialized by the kernel).
-    while (!order.empty() && seg_nnz[static_cast<std::size_t>(order.back())] == 0) {
+    while (!order.empty() && row_len(order.back()) == 0) {
       order.pop_back();
     }
   } else if (opts.sigma > 1) {
-    for (index_t begin = 0; begin < n; begin += opts.sigma) {
-      const index_t end = std::min<index_t>(begin + opts.sigma, n);
+    // The windows are disjoint, so sorting them concurrently gives the
+    // serial order exactly.
+    const std::int64_t sigma = opts.sigma;
+    const std::int64_t windows = (n + sigma - 1) / sigma;
+#pragma omp parallel for schedule(static) if (n > kParallelMin)
+    for (std::int64_t w = 0; w < windows; ++w) {
+      const std::int64_t begin = w * sigma;
+      const std::int64_t end = std::min<std::int64_t>(begin + sigma, n);
       std::stable_sort(order.begin() + begin, order.begin() + end,
                        by_desc_nnz);
     }
@@ -62,45 +86,63 @@ SrvSegment build_segment(const CsrMatrix& src, index_t col_begin,
   seg.row_order = std::move(order);
 
   // Chunk offsets: each chunk of c rows is as long as its longest row.
+  // Lengths in parallel, then a serial prefix sum.
   const auto nrows_seg = static_cast<index_t>(seg.row_order.size());
   const index_t num_chunks = (nrows_seg + c - 1) / c;
   seg.chunk_offset.assign(static_cast<std::size_t>(num_chunks) + 1, 0);
+#pragma omp parallel for schedule(static) if (nrows_seg > kParallelMin)
   for (index_t k = 0; k < num_chunks; ++k) {
     nnz_t len = 0;
-    for (int l = 0; l < c; ++l) {
-      const index_t pos = k * c + l;
-      if (pos >= nrows_seg) break;
-      len = std::max(len,
-                     seg_nnz[static_cast<std::size_t>(seg.row_order[pos])]);
+    const index_t lanes = std::min<index_t>(c, nrows_seg - k * c);
+    for (index_t l = 0; l < lanes; ++l) {
+      len = std::max(
+          len, row_len(seg.row_order[static_cast<std::size_t>(k * c + l)]));
     }
-    seg.chunk_offset[static_cast<std::size_t>(k) + 1] =
-        seg.chunk_offset[static_cast<std::size_t>(k)] + len;
+    seg.chunk_offset[static_cast<std::size_t>(k) + 1] = len;
+  }
+  for (std::size_t k = 1; k < seg.chunk_offset.size(); ++k) {
+    seg.chunk_offset[k] += seg.chunk_offset[k - 1];
   }
 
-  // Fill slot-major planes; pad short lanes with (pad_col, 0). The padding
-  // column is the window's first column: after CFS that is the hottest
-  // column, so padded gathers hit cache.
+  // Fill slot-major planes; pad short lanes, and the missing lanes of a
+  // ragged last chunk, with (pad_col, 0). The padding column is the window's
+  // first column: after CFS that is the hottest column, so padded gathers
+  // hit cache. The planes are sized without zeroing and this loop writes
+  // every slot exactly once, so their fresh pages are first touched here,
+  // in parallel, rather than by a serial zeroing pass.
   const index_t pad_col = col_begin < src.ncols() ? col_begin : 0;
   const auto total_slots =
       static_cast<std::size_t>(seg.chunk_offset.back()) * c;
-  seg.vals.assign(total_slots, value_t{0});
-  seg.col_ids.assign(total_slots, pad_col);
+  seg.vals.resize(total_slots);
+  seg.col_ids.resize(total_slots);
 
   const auto* src_cols = src.col_idx().data();
   const auto* src_vals = src.vals().data();
-#pragma omp parallel for schedule(static)
+  value_t* vals = seg.vals.data();
+  index_t* col_ids = seg.col_ids.data();
+#pragma omp parallel for schedule(static) \
+    if (total_slots > static_cast<std::size_t>(kParallelMin))
   for (index_t k = 0; k < num_chunks; ++k) {
     const nnz_t base = seg.chunk_offset[static_cast<std::size_t>(k)];
+    const nnz_t chunk_len =
+        seg.chunk_offset[static_cast<std::size_t>(k) + 1] - base;
     for (int l = 0; l < c; ++l) {
       const index_t pos = k * c + l;
-      if (pos >= nrows_seg) break;
-      const index_t row = seg.row_order[static_cast<std::size_t>(pos)];
-      const nnz_t row_lo = lo_off[static_cast<std::size_t>(row)];
-      const nnz_t len = seg_nnz[static_cast<std::size_t>(row)];
-      for (nnz_t j = 0; j < len; ++j) {
-        const auto slot = static_cast<std::size_t>((base + j) * c + l);
-        seg.col_ids[slot] = src_cols[row_lo + j];
-        seg.vals[slot] = src_vals[row_lo + j];
+      nnz_t len = 0;
+      nnz_t lo = 0;
+      if (pos < nrows_seg) {
+        const index_t row = seg.row_order[static_cast<std::size_t>(pos)];
+        lo = row_lo(row);
+        len = row_len(row);
+      }
+      auto slot = static_cast<std::size_t>(base * c + l);
+      for (nnz_t j = 0; j < len; ++j, slot += c) {
+        col_ids[slot] = src_cols[lo + j];
+        vals[slot] = src_vals[lo + j];
+      }
+      for (nnz_t j = len; j < chunk_len; ++j, slot += c) {
+        col_ids[slot] = pad_col;
+        vals[slot] = value_t{0};
       }
     }
   }
@@ -229,12 +271,21 @@ void SrvPackMatrix::validate() const {
     const index_t lo = seg.col_begin;
     const index_t hi = seg.col_end > seg.col_begin ? seg.col_end
                                                    : seg.col_begin + 1;
-    for (index_t c : seg.col_ids) {
-      if (c < lo || c >= hi) bad(where + "column id outside segment window");
+    // One fused scan over the slots; the window error is reported first,
+    // as a serial column scan followed by a value scan would.
+    const index_t* col_ids = seg.col_ids.data();
+    const value_t* vals = seg.vals.data();
+    const auto n_slots = static_cast<std::int64_t>(slots);
+    int col_outside = 0;
+    int non_finite = 0;
+#pragma omp parallel for simd schedule(static) \
+    reduction(| : col_outside, non_finite) if (n_slots > kParallelMin)
+    for (std::int64_t k = 0; k < n_slots; ++k) {
+      col_outside |= static_cast<int>(col_ids[k] < lo || col_ids[k] >= hi);
+      non_finite |= static_cast<int>(!std::isfinite(vals[k]));
     }
-    for (value_t v : seg.vals) {
-      if (!std::isfinite(v)) bad(where + "non-finite value");
-    }
+    if (col_outside != 0) bad(where + "column id outside segment window");
+    if (non_finite != 0) bad(where + "non-finite value");
   }
   if (expect_begin != ncols_) bad("segments do not cover all columns");
 }

@@ -38,28 +38,31 @@ PreparedMatrix PreparedMatrix::prepare(const CsrMatrix& m,
     Timer t;
     pm.ell_ = std::make_shared<const EllMatrix>(EllMatrix::from_csr(m));
     pm.prep_seconds_ = t.seconds();
-    pm.ell_->validate();
   } else if (cfg.kind == MethodKind::kHyb) {
     obs::ScopedTimer span("spmv.prepare.hyb");
     Timer t;
     pm.hyb_ = std::make_shared<const HybMatrix>(HybMatrix::from_csr(m, cfg.c));
     pm.prep_seconds_ = t.seconds();
-    pm.hyb_->validate();
   } else if (cfg.kind == MethodKind::kDia) {
     obs::ScopedTimer span("spmv.prepare.dia");
     Timer t;
     pm.dia_ = std::make_shared<const DiaMatrix>(DiaMatrix::from_csr(m));
     pm.prep_seconds_ = t.seconds();
-    pm.dia_->validate();
   } else if (cfg.kind != MethodKind::kCsr) {
     obs::ScopedTimer span("spmv.prepare.srvpack");
     Timer t;
     pm.packed_ = SrvPackMatrix::build(m, cfg.srv_options());
     pm.prep_seconds_ = t.seconds();
-    // Outside the timed region: conversion timings stay comparable across
-    // configurations, but a conversion that produced a broken layout is
-    // caught here (wise::Error, kValidation) instead of inside the kernel.
-    pm.packed_->validate();
+  }
+  if (pm.packed_.has_value() || pm.ell_ || pm.hyb_ || pm.dia_) {
+    // Outside the conversion timers: conversion timings stay comparable
+    // across configurations, but a conversion that produced a broken layout
+    // is caught here (wise::Error, kValidation) instead of inside the kernel.
+    obs::ScopedTimer span("spmv.prepare.check");
+    if (pm.packed_.has_value()) pm.packed_->validate();
+    if (pm.ell_) pm.ell_->validate();
+    if (pm.hyb_) pm.hyb_->validate();
+    if (pm.dia_) pm.dia_->validate();
   }
   if (plans_enabled()) {
     // Balancing happens once here; steady-state run() calls pay zero

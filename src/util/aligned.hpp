@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace wise {
@@ -56,5 +57,33 @@ struct AlignedAllocator {
 /// Vector whose data pointer is 64-byte aligned.
 template <typename T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose value-less construct() default-initialises, so
+/// `resize(n)` of a trivial T leaves the new elements unwritten. For buffers
+/// whose producer writes every element anyway: the pages are then first
+/// touched by that (possibly parallel) write instead of by a serial zeroing
+/// pass. Every element must be written before it is read.
+template <typename T>
+struct DefaultInitAlignedAllocator : AlignedAllocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAlignedAllocator<U>;
+  };
+
+  DefaultInitAlignedAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAlignedAllocator(const DefaultInitAlignedAllocator<U>&) noexcept {}
+
+  /// Only the value-less form: copies and fills still go through
+  /// std::allocator_traits' default construction.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// Aligned vector whose resize() does not zero the new elements.
+template <typename T>
+using uninit_aligned_vector = std::vector<T, DefaultInitAlignedAllocator<T>>;
 
 }  // namespace wise

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -136,6 +139,73 @@ TEST(Csr, ValidateCatchesCorruptMatrices) {
       CsrMatrix(1, 2, {0, 1}, {0},
                 {std::numeric_limits<value_t>::infinity()}),
       Error);
+}
+
+/// validate()'s message, or "" when the matrix is valid.
+std::string validation_message(const CsrMatrix& m) {
+  try {
+    m.validate();
+  } catch (const Error& e) {
+    return e.message();
+  }
+  return "";
+}
+
+TEST(Csr, ValidateNamesTheFirstBadRowAndValueAtAnyThreadCount) {
+  // Large enough for validate()'s parallel pre-scan; each case corrupts two
+  // places far apart, so different threads see them, and the message must
+  // still name the lower one — exactly as a serial scan would.
+  const int ambient = omp_get_max_threads();
+  const index_t n = 20000;
+  const index_t low_row = n / 3;
+  const index_t high_row = 2 * n / 3 + 1;
+  const auto poke_col = [](CsrMatrix& m, nnz_t k, index_t c) {
+    const_cast<index_t&>(m.col_idx()[static_cast<std::size_t>(k)]) = c;
+  };
+  const auto poke_nan = [](CsrMatrix& m, nnz_t k) {
+    const_cast<value_t&>(m.vals()[static_cast<std::size_t>(k)]) =
+        std::numeric_limits<value_t>::quiet_NaN();
+  };
+  const auto first_of = [](const CsrMatrix& m, index_t row) {
+    return m.row_ptr()[static_cast<std::size_t>(row)];
+  };
+
+  CsrMatrix bad_rows = random_csr(n, n, 5.0, 41);
+  ASSERT_GE(bad_rows.row_nnz(low_row), 1);
+  ASSERT_GE(bad_rows.row_nnz(high_row), 2);
+  poke_col(bad_rows, first_of(bad_rows, low_row), n);  // out of range
+  poke_col(bad_rows, first_of(bad_rows, high_row) + 1,
+           bad_rows.col_idx()[static_cast<std::size_t>(
+               first_of(bad_rows, high_row))]);  // not strictly sorted
+
+  CsrMatrix bad_vals = random_csr(n, n, 5.0, 42);
+  const nnz_t low_nz = bad_vals.nnz() / 3 + 7;
+  const nnz_t high_nz = 2 * bad_vals.nnz() / 3;
+  poke_nan(bad_vals, high_nz);
+  poke_nan(bad_vals, low_nz);
+
+  // A bad row outranks an earlier NaN: the serial scan checks columns first.
+  CsrMatrix both = random_csr(n, n, 5.0, 43);
+  ASSERT_GE(both.row_nnz(high_row), 1);
+  poke_nan(both, 3);
+  poke_col(both, first_of(both, high_row), -1);
+
+  for (const int threads : {1, 2, 3, 8}) {
+    omp_set_num_threads(threads);
+    EXPECT_EQ(validation_message(bad_rows),
+              "CsrMatrix: column index out of range in row " +
+                  std::to_string(low_row))
+        << threads << " threads";
+    EXPECT_EQ(validation_message(bad_vals),
+              "CsrMatrix: non-finite value at nonzero " +
+                  std::to_string(low_nz))
+        << threads << " threads";
+    EXPECT_EQ(validation_message(both),
+              "CsrMatrix: column index out of range in row " +
+                  std::to_string(high_row))
+        << threads << " threads";
+  }
+  omp_set_num_threads(ambient);
 }
 
 TEST(Csr, EmptyMatrixIsValid) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "sparse/srvpack.hpp"
+#include "spmv/method.hpp"
 #include "test_util.hpp"
 
 namespace wise {
@@ -193,6 +202,121 @@ TEST(SrvPack, MemoryBytesIsPositiveAndGrowsWithPadding) {
   const SrvPackMatrix padded = SrvPackMatrix::build(m, sellpack_opts(4));
   EXPECT_GT(tight.memory_bytes(), 0u);
   EXPECT_GE(padded.stored_entries(), tight.stored_entries());
+}
+
+/// Rows of varied length, every 7th row empty, a few rows with more
+/// nonzeros than the largest σ has rows, and a row count that is no
+/// multiple of c or σ, so the last chunk is ragged. At 20003 rows every
+/// parallel region of the build runs in parallel.
+CsrMatrix irregular_matrix(index_t n) {
+  Xoshiro256 rng(77);
+  CooMatrix coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) continue;
+    const index_t len = i % 5000 == 17 ? 4500 : 1 + (i * 31) % 9;
+    for (index_t k = 0; k < len; ++k) {
+      coo.add(i,
+              static_cast<index_t>(
+                  rng.next_below(static_cast<std::uint64_t>(n))),
+              static_cast<value_t>(0.5 + rng.next_double()));
+    }
+  }
+  coo.canonicalize();
+  return CsrMatrix::from_coo(coo);
+}
+
+template <typename Vec>
+bool same_bytes(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+/// Every slot past a lane's row length — and every slot of a lane past the
+/// last row — holds exactly (col_begin, +0.0); every slot before it holds a
+/// real (here: nonzero) entry.
+void expect_exact_padding(const CsrMatrix& m, const SrvPackMatrix& p,
+                          const std::string& name) {
+  // Position of each original column in the (possibly CFS-permuted) space.
+  std::vector<index_t> pos(static_cast<std::size_t>(m.ncols()));
+  std::iota(pos.begin(), pos.end(), 0);
+  if (p.has_cfs()) {
+    for (std::size_t k = 0; k < p.col_order().size(); ++k) {
+      pos[static_cast<std::size_t>(p.col_order()[k])] =
+          static_cast<index_t>(k);
+    }
+  }
+  const int c = p.c();
+  std::size_t bad = 0;
+  for (const auto& seg : p.segments()) {
+    for (index_t k = 0; k < seg.num_chunks(); ++k) {
+      const nnz_t base = seg.chunk_offset[static_cast<std::size_t>(k)];
+      const nnz_t chunk_len =
+          seg.chunk_offset[static_cast<std::size_t>(k) + 1] - base;
+      for (int l = 0; l < c; ++l) {
+        const index_t lane_pos = k * c + l;
+        nnz_t len = 0;
+        if (lane_pos < seg.num_rows()) {
+          const index_t row =
+              seg.row_order[static_cast<std::size_t>(lane_pos)];
+          for (index_t col : m.row_cols(row)) {
+            const index_t q = pos[static_cast<std::size_t>(col)];
+            len += q >= seg.col_begin && q < seg.col_end ? 1 : 0;
+          }
+        }
+        for (nnz_t j = 0; j < chunk_len; ++j) {
+          const auto slot = static_cast<std::size_t>((base + j) * c + l);
+          const value_t v = seg.vals[slot];
+          if (j < len) {
+            bad += v == 0.0 ? 1 : 0;
+          } else {
+            bad += seg.col_ids[slot] != seg.col_begin || v != 0.0 ||
+                           std::signbit(v)
+                       ? 1
+                       : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0u) << name;
+}
+
+TEST(SrvPack, LayoutIsByteIdenticalAcrossThreadCountsWithExactPadding) {
+  const int ambient = omp_get_max_threads();
+  // The small matrix stays under the parallel thresholds and so covers the
+  // serial path too.
+  const std::vector<CsrMatrix> matrices = {irregular_matrix(20003),
+                                           irregular_matrix(203)};
+  for (const CsrMatrix& m : matrices) {
+    for (const MethodConfig& cfg : all_method_configs()) {
+      if (cfg.kind == MethodKind::kCsr) continue;
+      const std::string name = cfg.name() + " n=" + std::to_string(m.nrows());
+      omp_set_num_threads(1);
+      const SrvPackMatrix ref = SrvPackMatrix::build(m, cfg.srv_options());
+      ref.validate();
+      expect_exact_padding(m, ref, name);
+      for (const int threads : {2, 3, 8}) {
+        omp_set_num_threads(threads);
+        const SrvPackMatrix p = SrvPackMatrix::build(m, cfg.srv_options());
+        ASSERT_EQ(p.segments().size(), ref.segments().size()) << name;
+        EXPECT_EQ(p.col_order(), ref.col_order()) << name;
+        for (std::size_t s = 0; s < p.segments().size(); ++s) {
+          const auto& a = p.segments()[s];
+          const auto& b = ref.segments()[s];
+          EXPECT_TRUE(same_bytes(a.row_order, b.row_order))
+              << name << " segment " << s << " @ " << threads;
+          EXPECT_TRUE(same_bytes(a.chunk_offset, b.chunk_offset))
+              << name << " segment " << s << " @ " << threads;
+          EXPECT_TRUE(same_bytes(a.vals, b.vals))
+              << name << " segment " << s << " @ " << threads;
+          EXPECT_TRUE(same_bytes(a.col_ids, b.col_ids))
+              << name << " segment " << s << " @ " << threads;
+        }
+      }
+    }
+  }
+  omp_set_num_threads(ambient);
 }
 
 }  // namespace
