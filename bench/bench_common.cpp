@@ -50,8 +50,6 @@ char family_glyph(MethodKind kind) {
     case MethodKind::kLav1Seg: return '+';
     case MethodKind::kLav: return 'v';
     case MethodKind::kBsr: return 'B';
-    case MethodKind::kEll: return 'E';
-    case MethodKind::kHyb: return 'H';
     case MethodKind::kDia: return 'D';
   }
   return '?';

@@ -365,8 +365,8 @@ int main(int argc, char** argv) {
       const SrvPlan spec =
           build_srv_plan(p, Schedule::kStCont, threads, /*specialize=*/true);
       SrvWorkspace ws;
-      spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, &generic);
-      spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, &spec);
+      spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, generic);
+      spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, spec);
       if (y_generic != y_spec) {
         std::fprintf(stderr,
                      "[perf_smoke] FAIL: specialized SRVPack plan not "
@@ -376,11 +376,11 @@ int main(int argc, char** argv) {
       const auto [gen_t, spec_t] = time_passes_interleaved(
           kernel_passes, iters,
           [&] {
-            spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, &generic);
+            spmv_srvpack(p, x, y_generic, Schedule::kStCont, ws, generic);
             do_not_optimize(y_generic.data());
           },
           [&] {
-            spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, &spec);
+            spmv_srvpack(p, x, y_spec, Schedule::kStCont, ws, spec);
             do_not_optimize(y_spec.data());
           });
       obs::JsonValue params = matrix_params(m);
@@ -395,15 +395,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Stage 4b: extension formats vs best CSR on the banded fixture ------
+  // --- Stage 4b: DIA vs best CSR on the banded fixture ---------------------
   // DIA exists for exactly this shape: a fully banded matrix is a handful
   // of dense diagonals, so its kernel runs pure unit-stride triad loops
   // with no column-index loads at all. The CI perf-gate reads
-  // dia_vs_best_csr_speedup >= 1.3; ELL and HYB are recorded
-  // informationally on the same fixture (docs/FORMATS.md's when-wins
-  // table cites these rows). Every format result is self-checked
+  // dia_vs_best_csr_speedup >= 1.3. The DIA result is self-checked
   // bit-identical to the serial CSR reference before anything is timed.
-  std::printf("[perf_smoke] extension formats vs best CSR (banded)...\n");
+  std::printf("[perf_smoke] DIA vs best CSR (banded)...\n");
   {
     const index_t n = quick ? 2048 : 8192;
     const CsrMatrix banded =
@@ -437,23 +435,22 @@ int main(int argc, char** argv) {
     }
     PreparedMatrix& csr_pm = csr_pms[best_csr];
 
-    // Bit-identity self-check, then one timed interleaved A/B per format.
+    // Bit-identity self-check, then one timed interleaved A/B.
     const double gflop = 2.0 * static_cast<double>(banded.nnz()) / 1e9;
     const DiaAnalysis dia_info = DiaMatrix::analyze(banded);
     double dia_speedup = 0.0;
-    for (const char* fmt_name : {"ELL", "HYB/k8", "DIA"}) {
-      const MethodConfig cfg = parse_method_config(fmt_name);
-      PreparedMatrix pm = PreparedMatrix::prepare(banded, cfg);
+    {
+      PreparedMatrix pm =
+          PreparedMatrix::prepare(banded, parse_method_config("DIA"));
       std::fill(y.begin(), y.end(), static_cast<value_t>(0));
       pm.run(x, y);
       if (!std::equal(y_ref.begin(), y_ref.end(), y.begin())) {
         std::fprintf(stderr,
-                     "[perf_smoke] FAIL: %s not bit-identical to the serial "
-                     "CSR reference on banded\n",
-                     fmt_name);
+                     "[perf_smoke] FAIL: DIA not bit-identical to the serial "
+                     "CSR reference on banded\n");
         return 1;
       }
-      const auto [csr_t, fmt_t] = time_passes_interleaved(
+      const auto [csr_t, dia_t] = time_passes_interleaved(
           kernel_passes, iters,
           [&] {
             csr_pm.run(x, y);
@@ -463,25 +460,16 @@ int main(int argc, char** argv) {
             pm.run(x, y);
             do_not_optimize(y.data());
           });
-      const double speedup = csr_t.min_seconds / fmt_t.min_seconds;
+      dia_speedup = csr_t.min_seconds / dia_t.min_seconds;
       obs::JsonValue params = matrix_params(banded);
       params.set("best_csr", best_csr_name);
       params.set("prep_seconds", pm.prep_seconds());
       params.set("gflops_csr", gflop / csr_t.min_seconds);
-      params.set("gflops_format", gflop / fmt_t.min_seconds);
-      if (cfg.kind == MethodKind::kDia) {
-        dia_speedup = speedup;
-        params.set("ndiags", static_cast<std::int64_t>(dia_info.ndiags));
-        params.set("diag_fill", dia_info.fill);
-        params.set("dia_vs_best_csr_speedup", speedup);
-      } else {
-        params.set("format_vs_best_csr_speedup", speedup);
-      }
-      std::string row = cfg.name();
-      for (auto& ch : row) {
-        if (ch == '/') ch = '_';
-      }
-      report.add("formats", row + "/banded", fmt_t, std::move(params));
+      params.set("gflops_format", gflop / dia_t.min_seconds);
+      params.set("ndiags", static_cast<std::int64_t>(dia_info.ndiags));
+      params.set("diag_fill", dia_info.fill);
+      params.set("dia_vs_best_csr_speedup", dia_speedup);
+      report.add("formats", "DIA/banded", dia_t, std::move(params));
     }
     {
       obs::JsonValue params = matrix_params(banded);

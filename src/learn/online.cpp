@@ -424,6 +424,9 @@ bool OnlineLearner::publish_and_guard(std::unique_lock<std::mutex>& lk,
   pre_swap_rate_ = window_rate;
   baseline_rate_ = window_rate;
   drift_.reset();
+  // A drift signal raised while this retrain ran measured the bank just
+  // replaced; the guard judges the new one.
+  drift_pending_ = false;
   guard_active_ = true;
   guard_n_ = 0;
   guard_misses_ = 0;

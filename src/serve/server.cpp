@@ -820,6 +820,7 @@ void Server::observe_session(Shard& home, const Response& rsp,
 Response Server::process(Shard& exec, const Request& req,
                          std::chrono::steady_clock::time_point enqueued,
                          std::chrono::steady_clock::time_point deadline) {
+  if (options_.before_process) options_.before_process(req);
   auto& metrics = obs::MetricsRegistry::global();
   const auto& ids = serve_metric_ids();
   const std::uint64_t wait_ns = record_since(ids.queue_wait, enqueued);

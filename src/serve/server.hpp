@@ -57,6 +57,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -104,6 +105,8 @@ enum class OverflowPolicy {
   kReject,  ///< submit() completes the future with a kResource error
 };
 
+struct Request;
+
 struct ServerOptions {
   int workers = 4;  ///< total across shards
   std::size_t queue_capacity = 64;  ///< total across shards; 0 = unbounded
@@ -118,6 +121,11 @@ struct ServerOptions {
   /// queue, exactly the pre-sharding semantics. The resolved value is
   /// reported by options().shards after construction.
   int shards = 0;
+
+  /// Test-only: when set, a worker calls it with each request it dequeues,
+  /// before the deadline check. A test uses it to hold the worker on a
+  /// latch so queueing and expiry do not depend on timing.
+  std::function<void(const Request&)> before_process;
 
   /// Reads WISE_SERVE_WORKERS, WISE_SERVE_QUEUE, WISE_SERVE_OVERFLOW
   /// (block|reject), WISE_SERVE_CACHE_BYTES, WISE_SERVE_CHOICE_ENTRIES,

@@ -89,7 +89,7 @@ class DiaMatrix {
   std::span<const char> lane_dense() const { return lane_dense_; }
 
   /// Stored lane cells (ndiags x nrows); stored/nnz - 1 is DIA's fill
-  /// overhead (the analogue of ELL's padding ratio).
+  /// overhead (the analogue of SRVPack's padding ratio).
   nnz_t stored_entries() const {
     return static_cast<nnz_t>(offsets_.size()) * static_cast<nnz_t>(nrows_);
   }

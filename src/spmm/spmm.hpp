@@ -65,7 +65,8 @@ const std::vector<SpmmConfig>& spmm_method_configs();
 SpmmConfig parse_spmm_config(const std::string& name);
 
 /// Serial reference: for each row i and column j, accumulates
-/// vals[p] * X[col_idx[p]*k + j] in ascending-p order. The bit-identity
+/// vals[p] * X[col_idx[p]*k + j] in ascending-p order, one fused
+/// multiply-add per term on targets with a fast FMA. The bit-identity
 /// oracle for every blocked kernel. X is ncols×k row-major, Y nrows×k.
 /// Throws std::invalid_argument on dimension mismatch or k <= 0.
 void spmm_reference(const CsrMatrix& a, std::span<const value_t> x,

@@ -1,5 +1,6 @@
 #include <omp.h>
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 
@@ -20,9 +21,22 @@ void check_dims(const CsrMatrix& a, std::span<const value_t> x,
   }
 }
 
+/// acc + a * b, rounded once where the target has a fast FMA and twice
+/// elsewhere. The kernels and spmm_reference both accumulate through it,
+/// so they round alike on every host; this file is built with
+/// -ffp-contract=off (src/CMakeLists.txt), so the compiler never fuses
+/// the two-rounding form on its own.
+inline value_t mul_add(value_t a, value_t b, value_t acc) {
+#ifdef FP_FAST_FMA
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
 /// One row × one register block of KB columns. Per output column the
-/// accumulation is the reference's exact += chain in ascending nonzero
-/// order — the simd pragma vectorizes *across* the KB independent
+/// accumulation is the reference's exact mul_add chain in ascending
+/// nonzero order — the simd pragma vectorizes *across* the KB independent
 /// accumulators, never within one reduction, so no reassociation can
 /// occur and the result is bit-identical to spmm_reference for any KB.
 template <int KB>
@@ -37,7 +51,7 @@ inline void row_block_dot(const nnz_t* rp, const index_t* ci,
         x + static_cast<std::size_t>(ci[p]) * static_cast<std::size_t>(k) +
         static_cast<std::size_t>(j0);
 #pragma omp simd
-    for (int jj = 0; jj < KB; ++jj) acc[jj] += v * xr[jj];
+    for (int jj = 0; jj < KB; ++jj) acc[jj] = mul_add(v, xr[jj], acc[jj]);
   }
   value_t* yr =
       y + static_cast<std::size_t>(i) * static_cast<std::size_t>(k) +
@@ -122,9 +136,11 @@ void spmm_reference(const CsrMatrix& a, std::span<const value_t> x,
     for (index_t j = 0; j < k; ++j) {
       value_t acc = 0;
       for (nnz_t p = rp[i]; p < rp[i + 1]; ++p) {
-        acc += va[p] * x[static_cast<std::size_t>(ci[p]) *
-                             static_cast<std::size_t>(k) +
-                         static_cast<std::size_t>(j)];
+        acc = mul_add(va[p],
+                      x[static_cast<std::size_t>(ci[p]) *
+                            static_cast<std::size_t>(k) +
+                        static_cast<std::size_t>(j)],
+                      acc);
       }
       y[static_cast<std::size_t>(i) * static_cast<std::size_t>(k) +
         static_cast<std::size_t>(j)] = acc;

@@ -3,39 +3,21 @@
 #include <optional>
 
 #include "sparse/dia.hpp"
-#include "sparse/ell.hpp"
 
 namespace wise {
 
 bool config_applicable(const MethodConfig& cfg, const CsrMatrix& m) {
-  switch (cfg.kind) {
-    case MethodKind::kEll:
-      return EllMatrix::accepts(m);
-    case MethodKind::kDia:
-      return DiaMatrix::accepts(m);
-    default:
-      return true;
-  }
+  return cfg.kind != MethodKind::kDia || DiaMatrix::accepts(m);
 }
 
 std::vector<char> applicability_mask(std::span<const MethodConfig> configs,
                                      const CsrMatrix& m) {
   std::vector<char> mask(configs.size(), 1);
-  std::optional<bool> ell_ok;
   std::optional<bool> dia_ok;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    switch (configs[i].kind) {
-      case MethodKind::kEll:
-        if (!ell_ok) ell_ok = EllMatrix::accepts(m);
-        mask[i] = *ell_ok ? 1 : 0;
-        break;
-      case MethodKind::kDia:
-        if (!dia_ok) dia_ok = DiaMatrix::accepts(m);
-        mask[i] = *dia_ok ? 1 : 0;
-        break;
-      default:
-        break;
-    }
+    if (configs[i].kind != MethodKind::kDia) continue;
+    if (!dia_ok) dia_ok = DiaMatrix::accepts(m);
+    mask[i] = *dia_ok ? 1 : 0;
   }
   return mask;
 }

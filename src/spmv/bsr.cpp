@@ -133,22 +133,13 @@ std::vector<MethodConfig> extended_method_configs() {
     out.push_back(
         {.kind = MethodKind::kBsr, .sched = Schedule::kStCont, .c = b});
   }
-  // The storage-format extensions of sparse/{ell,hyb,dia}.hpp. All run
-  // nnz-balanced plan blocks with a static contiguous partition; ELL and
-  // DIA are parameterless, HYB's cutoff k is the split between its padded
-  // ELL part and its overflow tail. ELL and DIA are additionally guarded
-  // by selection-time applicability predicates (spmv/applicability.hpp),
-  // so choose() never picks DIA for a scattered (e.g. RMAT) matrix that
-  // its conversion would reject.
-  out.push_back({.kind = MethodKind::kEll, .sched = Schedule::kStCont});
-  for (int k : hyb_cutoff_values()) {
-    out.push_back(
-        {.kind = MethodKind::kHyb, .sched = Schedule::kStCont, .c = k});
-  }
+  // The diagonal storage format of sparse/dia.hpp: parameterless, run over
+  // nnz-balanced plan blocks with a static contiguous partition, and
+  // guarded by a selection-time applicability predicate
+  // (spmv/applicability.hpp), so choose() never picks DIA for a scattered
+  // (e.g. RMAT) matrix that its conversion would reject.
   out.push_back({.kind = MethodKind::kDia, .sched = Schedule::kStCont});
   return out;
 }
-
-std::vector<int> hyb_cutoff_values() { return {8, 32}; }
 
 }  // namespace wise

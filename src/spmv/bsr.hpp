@@ -65,13 +65,8 @@ class BsrMatrix {
 };
 
 /// The extended configuration space: the paper's 29 plus BSR with block
-/// sizes {4, 8}, ELL, HYB with cutoffs hyb_cutoff_values(), and DIA (see
-/// sparse/ell.hpp, sparse/hyb.hpp, sparse/dia.hpp). Extension entries sort
-/// after every paper method in the preprocessing-cost tie-break.
+/// sizes {4, 8} and DIA (sparse/dia.hpp). Extension entries sort after
+/// every paper method in the preprocessing-cost tie-break.
 std::vector<MethodConfig> extended_method_configs();
-
-/// HYB row-length cutoffs the registry instantiates ({8, 32}: one near the
-/// padding-free regime, one that keeps most entries in the regular part).
-std::vector<int> hyb_cutoff_values();
 
 }  // namespace wise

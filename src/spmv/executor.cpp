@@ -12,15 +12,6 @@
 
 namespace wise {
 
-namespace {
-
-bool is_format_kind(MethodKind k) {
-  return k == MethodKind::kEll || k == MethodKind::kHyb ||
-         k == MethodKind::kDia;
-}
-
-}  // namespace
-
 PreparedMatrix PreparedMatrix::prepare(const CsrMatrix& m,
                                        const MethodConfig& cfg) {
   auto& metrics = obs::MetricsRegistry::global();
@@ -33,16 +24,6 @@ PreparedMatrix PreparedMatrix::prepare(const CsrMatrix& m,
     pm.bsr_ = std::make_shared<const BsrMatrix>(
         BsrMatrix::from_csr(m, cfg.c));
     pm.prep_seconds_ = t.seconds();
-  } else if (cfg.kind == MethodKind::kEll) {
-    obs::ScopedTimer span("spmv.prepare.ell");
-    Timer t;
-    pm.ell_ = std::make_shared<const EllMatrix>(EllMatrix::from_csr(m));
-    pm.prep_seconds_ = t.seconds();
-  } else if (cfg.kind == MethodKind::kHyb) {
-    obs::ScopedTimer span("spmv.prepare.hyb");
-    Timer t;
-    pm.hyb_ = std::make_shared<const HybMatrix>(HybMatrix::from_csr(m, cfg.c));
-    pm.prep_seconds_ = t.seconds();
   } else if (cfg.kind == MethodKind::kDia) {
     obs::ScopedTimer span("spmv.prepare.dia");
     Timer t;
@@ -54,17 +35,15 @@ PreparedMatrix PreparedMatrix::prepare(const CsrMatrix& m,
     pm.packed_ = SrvPackMatrix::build(m, cfg.srv_options());
     pm.prep_seconds_ = t.seconds();
   }
-  if (pm.packed_.has_value() || pm.ell_ || pm.hyb_ || pm.dia_) {
+  if (pm.packed_.has_value() || pm.dia_) {
     // Outside the conversion timers: conversion timings stay comparable
     // across configurations, but a conversion that produced a broken layout
     // is caught here (wise::Error, kValidation) instead of inside the kernel.
     obs::ScopedTimer span("spmv.prepare.check");
     if (pm.packed_.has_value()) pm.packed_->validate();
-    if (pm.ell_) pm.ell_->validate();
-    if (pm.hyb_) pm.hyb_->validate();
     if (pm.dia_) pm.dia_->validate();
   }
-  if (plans_enabled()) {
+  if (cfg.kind != MethodKind::kBsr) {
     // Balancing happens once here; steady-state run() calls pay zero
     // repartitioning cost. The block count is pinned to the thread count
     // at prepare time — running with fewer threads later stays correct
@@ -72,14 +51,14 @@ PreparedMatrix PreparedMatrix::prepare(const CsrMatrix& m,
     obs::ScopedTimer span("spmv.prepare.plan");
     const int threads = omp_get_max_threads();
     if (cfg.kind == MethodKind::kCsr) {
-      pm.csr_plan_ = build_csr_plan(m, cfg.sched, threads);
-    } else if (is_format_kind(cfg.kind)) {
-      // The balanced partition comes from the *source* CSR row_ptr: the
-      // format layouts keep CSR's row order, so its nnz prefix sum is the
-      // right work weight for all three.
-      pm.fmt_plan_ =
+      pm.row_plan_ = build_csr_plan(m, cfg.sched, threads);
+    } else if (cfg.kind == MethodKind::kDia) {
+      // The balanced partition comes from the *source* CSR row_ptr: DIA
+      // keeps CSR's row order, so its nnz prefix sum is the right work
+      // weight.
+      pm.row_plan_ =
           build_balanced_plan(m.row_ptr(), plan_blocks_for(cfg.sched, threads));
-    } else if (cfg.kind != MethodKind::kBsr) {
+    } else {
       pm.srv_plan_ = build_srv_plan(*pm.packed_, cfg.sched, threads);
     }
   }
@@ -91,14 +70,9 @@ PreparedMatrix PreparedMatrix::prepare(const CsrMatrix& m,
       // Variant histogram: how many plan blocks will dispatch to each
       // specialized loop. Surfaced through STATS so operators can see
       // whether the classifier is actually firing on live traffic.
-      const auto hist =
-          pm.csr_plan_.has_value()
-              ? pm.csr_plan_->variant_histogram()
-              : pm.srv_plan_.has_value()
-                    ? pm.srv_plan_->variant_histogram()
-                    : pm.fmt_plan_.has_value()
-                          ? pm.fmt_plan_->variant_histogram()
-                          : std::array<std::uint32_t, kNumKernelVariants>{};
+      const auto hist = pm.row_plan_.has_value()
+                            ? pm.row_plan_->variant_histogram()
+                            : pm.srv_plan_->variant_histogram();
       for (std::size_t v = 0; v < kNumKernelVariants; ++v) {
         if (hist[v] == 0) continue;
         metrics.add(std::string("spmv.plan.variant.") +
@@ -120,37 +94,25 @@ void PreparedMatrix::run(std::span<const value_t> x, std::span<value_t> y,
                          SrvWorkspace& ws) const {
   obs::ScopedTimer span(run_timer_, obs::MetricsRegistry::global());
   if (cfg_.kind == MethodKind::kCsr) {
-    if (csr_plan_.has_value()) {
-      spmv_csr(*csr_, x, y, cfg_.sched, *csr_plan_);
-    } else {
-      spmv_csr(*csr_, x, y, cfg_.sched);
-    }
+    spmv_csr(*csr_, x, y, cfg_.sched, *row_plan_);
   } else if (cfg_.kind == MethodKind::kBsr) {
     bsr_->spmv(x, y);
-  } else if (cfg_.kind == MethodKind::kEll) {
-    spmv_ell(*ell_, x, y, fmt_plan_.has_value() ? &*fmt_plan_ : nullptr);
-  } else if (cfg_.kind == MethodKind::kHyb) {
-    spmv_hyb(*hyb_, x, y, fmt_plan_.has_value() ? &*fmt_plan_ : nullptr);
   } else if (cfg_.kind == MethodKind::kDia) {
-    spmv_dia(*dia_, x, y, fmt_plan_.has_value() ? &*fmt_plan_ : nullptr);
+    spmv_dia(*dia_, x, y, *row_plan_);
   } else {
-    spmv_srvpack(*packed_, x, y, cfg_.sched, ws,
-                 srv_plan_.has_value() ? &*srv_plan_ : nullptr);
+    spmv_srvpack(*packed_, x, y, cfg_.sched, ws, *srv_plan_);
   }
 }
 
 std::size_t PreparedMatrix::memory_bytes() const {
   if (bsr_) return bsr_->memory_bytes();
-  if (ell_) return ell_->memory_bytes();
-  if (hyb_) return hyb_->memory_bytes();
   if (dia_) return dia_->memory_bytes();
   return packed_.has_value() ? packed_->memory_bytes() : csr_->memory_bytes();
 }
 
 std::size_t PreparedMatrix::plan_bytes() const {
-  if (csr_plan_.has_value()) return csr_plan_->memory_bytes();
+  if (row_plan_.has_value()) return row_plan_->memory_bytes();
   if (srv_plan_.has_value()) return srv_plan_->memory_bytes();
-  if (fmt_plan_.has_value()) return fmt_plan_->memory_bytes();
   return 0;
 }
 

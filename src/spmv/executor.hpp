@@ -17,8 +17,6 @@
 
 namespace wise {
 
-class EllMatrix;
-class HybMatrix;
 class DiaMatrix;
 
 /// A matrix converted to the layout a MethodConfig needs, plus the measured
@@ -29,8 +27,9 @@ class DiaMatrix;
 /// other configurations the SRVPack copy is owned.
 class PreparedMatrix {
  public:
-  /// Converts `m` (timing the conversion) and, unless WISE_PLAN=0, builds
-  /// the nnz-balanced execution plan the kernels run over (spmv/plan.hpp).
+  /// Converts `m` (timing the conversion) and, for every config but BSR,
+  /// builds the nnz-balanced execution plan the kernels run over
+  /// (spmv/plan.hpp).
   /// Never null-returns; throws on invalid configs.
   static PreparedMatrix prepare(const CsrMatrix& m, const MethodConfig& cfg);
 
@@ -59,15 +58,15 @@ class PreparedMatrix {
   /// separately by plan_bytes so existing footprint comparisons hold).
   std::size_t memory_bytes() const;
 
-  /// Bytes of the precomputed execution plan, 0 when plans are disabled or
-  /// the config has none (BSR). serve::prepared_entry_bytes charges this
-  /// into the prepared-cache byte budget on top of memory_bytes().
+  /// Bytes of the precomputed execution plan, 0 for BSR (which has none).
+  /// serve::prepared_entry_bytes charges this into the prepared-cache byte
+  /// budget on top of memory_bytes().
   std::size_t plan_bytes() const;
 
-  /// True when run() executes over a precomputed plan.
+  /// True when run() executes over a precomputed plan (every config but
+  /// BSR).
   bool has_plan() const {
-    return csr_plan_.has_value() || srv_plan_.has_value() ||
-           fmt_plan_.has_value();
+    return row_plan_.has_value() || srv_plan_.has_value();
   }
 
   index_t nrows() const { return csr_->nrows(); }
@@ -78,12 +77,9 @@ class PreparedMatrix {
   const CsrMatrix* csr_ = nullptr;  ///< always set; the SpMV source for kCsr
   std::optional<SrvPackMatrix> packed_;
   std::shared_ptr<const BsrMatrix> bsr_;  ///< set for the BSR extension
-  std::shared_ptr<const EllMatrix> ell_;  ///< set for the ELL extension
-  std::shared_ptr<const HybMatrix> hyb_;  ///< set for the HYB extension
   std::shared_ptr<const DiaMatrix> dia_;  ///< set for the DIA extension
-  std::optional<SpmvPlan> csr_plan_;  ///< row plan, kCsr only
+  std::optional<SpmvPlan> row_plan_;  ///< source-row plan, kCsr and kDia
   std::optional<SrvPlan> srv_plan_;   ///< per-segment chunk plans, SRVPack
-  std::optional<SpmvPlan> fmt_plan_;  ///< row plan, ELL/HYB/DIA
   SrvWorkspace ws_;
   double prep_seconds_ = 0.0;
   /// Per-configuration kernel timer ("spmv.run.<config name>"), interned

@@ -1,19 +1,14 @@
 #pragma once
-// Parallel SpMV kernels for the extension formats ELL, HYB, and DIA.
+// Parallel SpMV kernel for the DIA extension format.
 //
-// All three kernels parallelize over disjoint row blocks — either the
-// blocks of a precomputed nnz-balanced SpmvPlan (built over the *source*
-// CSR row_ptr at prepare() time, see executor.cpp) or, when no plan is
-// given, one even row range per thread. Every row is computed by exactly
-// one block and each row's accumulation replays the source CSR entry
-// order, so the result is bit-identical to the serial spmv_reference
-// oracle at any thread count, with or without a plan (pinned by
-// tests/formats_test.cpp at OMP_NUM_THREADS in {1, 2, 8}):
+// The kernel parallelizes over the disjoint row blocks of a precomputed
+// nnz-balanced SpmvPlan (built over the *source* CSR row_ptr at prepare()
+// time, see executor.cpp). Every row is computed by exactly one block and
+// each row's accumulation replays the source CSR entry order, so the
+// result is bit-identical to the serial spmv_reference oracle at any
+// thread count (pinned by tests/formats_test.cpp at OMP_NUM_THREADS in
+// {1, 2, 8}):
 //
-//   ELL  slot-outer over the block's rows, a per-row length guard skips
-//        padding cells entirely; slot order == column order.
-//   HYB  the ELL loop for the capped part, then a row-compressed tail
-//        pass — first-k-then-rest is exactly the CSR entry order.
 //   DIA  diagonal-outer; ascending offsets == ascending columns. Dense
 //        lanes (no fill) run an unguarded unit-stride triad loop — the
 //        pure streaming form that beats CSR on banded matrices — while
@@ -23,21 +18,15 @@
 #include <span>
 
 #include "sparse/dia.hpp"
-#include "sparse/ell.hpp"
-#include "sparse/hyb.hpp"
 #include "spmv/plan.hpp"
 #include "util/types.hpp"
 
 namespace wise {
 
-/// y = A*x; y is fully overwritten. `plan` may be null (even row split per
-/// thread); a non-null plan must cover the matrix's rows. Throws
-/// std::invalid_argument on dimension mismatch or a non-covering plan.
-void spmv_ell(const EllMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, const SpmvPlan* plan = nullptr);
-void spmv_hyb(const HybMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, const SpmvPlan* plan = nullptr);
+/// y = A*x over `plan`'s row blocks; y is fully overwritten. Throws
+/// std::invalid_argument on dimension mismatch or a plan that does not
+/// cover the matrix's rows.
 void spmv_dia(const DiaMatrix& a, std::span<const value_t> x,
-              std::span<value_t> y, const SpmvPlan* plan = nullptr);
+              std::span<value_t> y, const SpmvPlan& plan);
 
 }  // namespace wise

@@ -16,8 +16,6 @@ const char* method_kind_name(MethodKind k) {
     case MethodKind::kLav1Seg: return "LAV-1Seg";
     case MethodKind::kLav: return "LAV";
     case MethodKind::kBsr: return "BSR";
-    case MethodKind::kEll: return "ELL";
-    case MethodKind::kHyb: return "HYB";
     case MethodKind::kDia: return "DIA";
   }
   return "?";
@@ -46,12 +44,8 @@ std::string MethodConfig::name() const {
     case MethodKind::kBsr:
       out << "/b" << c;  // c doubles as the block size for BSR
       break;
-    case MethodKind::kEll:
     case MethodKind::kDia:
       break;  // parameterless: the layout is fully determined by the matrix
-    case MethodKind::kHyb:
-      out << "/k" << c;  // c doubles as the row-length cutoff for HYB
-      break;
   }
   return out.str();
 }
@@ -81,9 +75,6 @@ SrvBuildOptions MethodConfig::srv_options() const {
       opts.segment_fractions = {T};
       break;
     case MethodKind::kBsr:
-      throw std::logic_error("srv_options: BSR has its own format");
-    case MethodKind::kEll:
-    case MethodKind::kHyb:
     case MethodKind::kDia:
       throw std::logic_error("srv_options: " +
                              std::string(method_kind_name(kind)) +
@@ -234,15 +225,6 @@ MethodConfig parse_method_config(const std::string& name) {
     expect(2);
     cfg.kind = MethodKind::kBsr;
     cfg.c = static_cast<int>(num_after(1, 'b'));
-    cfg.sched = Schedule::kStCont;
-  } else if (head == "ELL") {
-    expect(1);
-    cfg.kind = MethodKind::kEll;
-    cfg.sched = Schedule::kStCont;
-  } else if (head == "HYB") {
-    expect(2);
-    cfg.kind = MethodKind::kHyb;
-    cfg.c = static_cast<int>(num_after(1, 'k'));
     cfg.sched = Schedule::kStCont;
   } else if (head == "DIA") {
     expect(1);

@@ -22,8 +22,6 @@ enum class MethodKind {
   kLav1Seg,     ///< CFS + RFS, single segment
   kLav,         ///< CFS + RFS + dense/sparse segmentation (fraction T)
   kBsr,         ///< Block CSR extension (not in the paper's 29; see bsr.hpp)
-  kEll,         ///< ELLPACK extension (sparse/ell.hpp)
-  kHyb,         ///< hybrid ELL + overflow tail extension (sparse/hyb.hpp)
   kDia,         ///< diagonal extension (sparse/dia.hpp)
 };
 
@@ -33,7 +31,7 @@ const char* method_kind_name(MethodKind k);
 struct MethodConfig {
   MethodKind kind = MethodKind::kCsr;
   Schedule sched = Schedule::kStCont;
-  int c = 0;          ///< chunk height; BSR block size; HYB cutoff; 0 for CSR
+  int c = 0;          ///< chunk height; BSR block size; 0 for CSR
   index_t sigma = 0;  ///< Sell-c-σ window; kSigmaAll where RFS is implied
   double T = 0.0;     ///< LAV dense-segment nonzero fraction; 0 otherwise
 

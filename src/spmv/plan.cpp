@@ -206,16 +206,8 @@ SrvPlan build_srv_plan(const SrvPackMatrix& m, Schedule sched, int threads,
   return plan;
 }
 
-bool plans_enabled() { return env_flag("WISE_PLAN", true); }
-
 bool plan_specialization_enabled() {
   return env_flag("WISE_PLAN_SPECIALIZE", true);
-}
-
-bool srv_merge_enabled() {
-  // Cached: consulted per block on the SRVPack execution path.
-  static const bool enabled = env_flag("WISE_SRV_MERGE", false);
-  return enabled;
 }
 
 }  // namespace wise

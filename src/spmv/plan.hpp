@@ -29,20 +29,20 @@
 //             arithmetic offsets, 4-way unrolled over items
 //   kWide     long/dense items: multi-accumulator interleave so several
 //             independent reduction chains are in flight per thread
-//   kMerge    pathological skew / mostly-tiny items: items with <= 2
+//   kMerge    pathological skew / mostly-tiny items: CSR rows with <= 2
 //             stored entries take a scalar fast path (at most one FP
 //             addition, so reassociation cannot change the bits), longer
-//             items fall back to the exact generic inner loop
+//             rows fall back to the exact generic inner loop; SRVPack
+//             merge blocks run the generic chunk loop
 //
 // Correctness is schedule- and variant-independent: every row (CSR) or
 // chunk (SRVPack segment) is computed by exactly one block, and every
 // specialized loop reuses the generic simd-reduced inner loop for any item
-// with 3+ stored entries, so plan execution is bit-identical to the legacy
-// loops at any thread count (pinned by tests/plan_test.cpp and
-// tests/plan_specialize_test.cpp).
+// with 3+ stored entries, so plan execution is bit-identical to the
+// plan-less CSR loop and to an unspecialized plan at any thread count
+// (pinned by tests/plan_test.cpp and tests/plan_specialize_test.cpp).
 //
 // Env knobs (read once per build call, documented in docs/PERFORMANCE.md):
-//   WISE_PLAN=0                 disable plans (legacy OpenMP loops)
 //   WISE_PLAN_BLOCK_FACTOR=N    blocks per thread for Dyn plans (default 4)
 //   WISE_PLAN_SPECIALIZE=0      balanced blocks only, no variant table
 
@@ -174,22 +174,9 @@ SrvPlan build_srv_plan(const SrvPackMatrix& m, Schedule sched, int threads);
 SrvPlan build_srv_plan(const SrvPackMatrix& m, Schedule sched, int threads,
                        bool specialize);
 
-/// WISE_PLAN environment switch (default on). When off, PreparedMatrix
-/// skips plan construction and run() uses the legacy OpenMP loops.
-bool plans_enabled();
-
 /// WISE_PLAN_SPECIALIZE environment switch (default on). When off, plans
 /// are built without variant tables and every block executes the generic
 /// loop — exactly the pre-specialization behavior.
 bool plan_specialization_enabled();
-
-/// WISE_SRV_MERGE environment switch (default OFF). The SRVPack merge
-/// variant's tiny-chunk unroll measured ~0.95x of the generic chunk loop
-/// on the perf-smoke suite, so merge-classified blocks execute the generic
-/// loop unless this opts back in. Classification is unaffected either way:
-/// blocks are still labeled kMerge and variant_histogram() keeps its
-/// merge bucket populated, so plan telemetry stays shape-stable. The CSR
-/// (non-SRVPack) merge kernel is not gated. Read once and cached.
-bool srv_merge_enabled();
 
 }  // namespace wise

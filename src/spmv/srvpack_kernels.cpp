@@ -7,50 +7,23 @@ namespace wise {
 
 namespace {
 
-/// Runs the segment either with the legacy OpenMP schedules over single
-/// chunks (plan == nullptr, `chunk(k)` per chunk) or block-by-block over a
-/// precomputed nnz-balanced partition (`run_block(lo, hi, variant)` per
-/// block, which dispatches to the block's specialized loop). Every chunk
-/// executes exactly once either way, and every specialized loop reuses the
-/// generic slot reduction for chunks with 3+ slots, so all paths are
-/// bit-identical.
-template <typename ChunkFn, typename BlockFn>
-void dispatch_chunks(index_t nchunks, Schedule sched, int grain,
-                     const SpmvPlan* plan, ChunkFn&& chunk,
+/// Runs the segment block-by-block over its precomputed nnz-balanced
+/// partition: `run_block(lo, hi, variant)` per block, which dispatches to
+/// the block's specialized loop. Every chunk executes exactly once, and
+/// every specialized loop reuses the generic slot reduction, so all
+/// variant tables give the same bits.
+template <typename BlockFn>
+void dispatch_blocks(Schedule sched, const SpmvPlan& plan,
                      BlockFn&& run_block) {
-  if (plan != nullptr) {
-    const index_t nb = plan->num_blocks();
-    const index_t* bd = plan->bounds.data();
-    const std::uint8_t* vt =
-        plan->variants.empty() ? nullptr : plan->variants.data();
-    auto body = [&](index_t b) {
-      const KernelVariant v = vt == nullptr
-                                  ? KernelVariant::kGeneric
-                                  : static_cast<KernelVariant>(vt[b]);
-      run_block(bd[b], bd[b + 1], v);
-    };
-    if (sched == Schedule::kDyn) {
+  const index_t nb = plan.num_blocks();
+  const index_t* bd = plan.bounds.data();
+  auto body = [&](index_t b) { run_block(bd[b], bd[b + 1], plan.variant(b)); };
+  if (sched == Schedule::kDyn) {
 #pragma omp parallel for schedule(dynamic, 1)
-      for (index_t b = 0; b < nb; ++b) body(b);
-    } else {
+    for (index_t b = 0; b < nb; ++b) body(b);
+  } else {
 #pragma omp parallel for schedule(static)
-      for (index_t b = 0; b < nb; ++b) body(b);
-    }
-    return;
-  }
-  switch (sched) {
-    case Schedule::kDyn:
-#pragma omp parallel for schedule(dynamic, grain)
-      for (index_t k = 0; k < nchunks; ++k) chunk(k);
-      break;
-    case Schedule::kSt:
-#pragma omp parallel for schedule(static, grain)
-      for (index_t k = 0; k < nchunks; ++k) chunk(k);
-      break;
-    case Schedule::kStCont:
-#pragma omp parallel for schedule(static)
-      for (index_t k = 0; k < nchunks; ++k) chunk(k);
-      break;
+    for (index_t b = 0; b < nb; ++b) body(b);
   }
 }
 
@@ -59,14 +32,12 @@ void dispatch_chunks(index_t nchunks, Schedule sched, int grain,
 /// run_chunks_generic below.
 template <int C>
 void run_chunks(const SrvSegment& seg, const value_t* x, value_t* y,
-                Schedule sched, const SpmvPlan* plan) {
-  const index_t nchunks = seg.num_chunks();
+                Schedule sched, const SpmvPlan& plan) {
   const index_t nrows_seg = seg.num_rows();
   const nnz_t* off = seg.chunk_offset.data();
   const value_t* vals = seg.vals.data();
   const index_t* cols = seg.col_ids.data();
   const index_t* order = seg.row_order.data();
-  const int grain = std::max(1, kScheduleGrainRows / C);
 
   auto scatter = [=](index_t k, const value_t* acc) {
     const index_t base = k * C;
@@ -77,9 +48,8 @@ void run_chunks(const SrvSegment& seg, const value_t* x, value_t* y,
     }
   };
 
-  // The generic chunk body: every specialized block loop below either
-  // reuses this exact slot reduction (3+ slots) or hand-unrolls <= 2 slot
-  // iterations of the same += chain, so all variants stay bit-identical.
+  // The generic chunk body: every specialized block loop below reuses this
+  // exact slot reduction, so all variants stay bit-identical.
   auto chunk = [=](index_t k) {
     const nnz_t lo = off[k];
     const nnz_t len = off[k + 1] - lo;
@@ -91,30 +61,6 @@ void run_chunks(const SrvSegment& seg, const value_t* x, value_t* y,
       for (int l = 0; l < C; ++l) {
         acc[l] += v[j * C + l] * x[ci[j * C + l]];
       }
-    }
-    scatter(k, acc);
-  };
-
-  // kMerge fast path: chunks holding <= 2 slots skip the slot loop and run
-  // the unrolled iterations directly — at most one FP addition per lane,
-  // where every association order is the same order.
-  auto tiny_chunk = [=](index_t k) {
-    const nnz_t lo = off[k];
-    const nnz_t len = off[k + 1] - lo;
-    if (len > 2) {
-      chunk(k);
-      return;
-    }
-    value_t acc[C] = {};
-    const value_t* v = vals + lo * C;
-    const index_t* ci = cols + lo * C;
-    if (len >= 1) {
-#pragma omp simd
-      for (int l = 0; l < C; ++l) acc[l] += v[l] * x[ci[l]];
-    }
-    if (len == 2) {
-#pragma omp simd
-      for (int l = 0; l < C; ++l) acc[l] += v[C + l] * x[ci[C + l]];
     }
     scatter(k, acc);
   };
@@ -153,15 +99,9 @@ void run_chunks(const SrvSegment& seg, const value_t* x, value_t* y,
         }
         break;
       case KernelVariant::kMerge:
-        // Gated off by default (WISE_SRV_MERGE): the tiny-chunk unroll
-        // measured ~0.95x of the generic loop here. The block keeps its
-        // kMerge label (histogram shape-stable); only execution demotes.
-        if (srv_merge_enabled()) {
-          for (index_t k = blo; k < bhi; ++k) tiny_chunk(k);
-        } else {
-          for (index_t k = blo; k < bhi; ++k) chunk(k);
-        }
-        break;
+        // A tiny-chunk unroll measured ~0.95x of the generic loop on the
+        // packed format, so merge-labelled blocks run the generic loop; the
+        // label still feeds variant_histogram().
       case KernelVariant::kGeneric:
       default:
         for (index_t k = blo; k < bhi; ++k) chunk(k);
@@ -169,20 +109,18 @@ void run_chunks(const SrvSegment& seg, const value_t* x, value_t* y,
     }
   };
 
-  dispatch_chunks(nchunks, sched, grain, plan, chunk, run_block);
+  dispatch_blocks(sched, plan, run_block);
 }
 
 /// Runtime-width fallback for c values other than the instantiated 4/8.
 void run_chunks_generic(const SrvSegment& seg, int c, const value_t* x,
-                        value_t* y, Schedule sched, const SpmvPlan* plan) {
+                        value_t* y, Schedule sched, const SpmvPlan& plan) {
   constexpr int kMaxC = 64;
-  const index_t nchunks = seg.num_chunks();
   const index_t nrows_seg = seg.num_rows();
   const nnz_t* off = seg.chunk_offset.data();
   const value_t* vals = seg.vals.data();
   const index_t* cols = seg.col_ids.data();
   const index_t* order = seg.row_order.data();
-  const int grain = std::max(1, kScheduleGrainRows / c);
 
   auto chunk = [=](index_t k) {
     const nnz_t lo = off[k];
@@ -210,19 +148,19 @@ void run_chunks_generic(const SrvSegment& seg, int c, const value_t* x,
     for (index_t k = blo; k < bhi; ++k) chunk(k);
   };
 
-  dispatch_chunks(nchunks, sched, grain, plan, chunk, run_block);
+  dispatch_blocks(sched, plan, run_block);
 }
 
 }  // namespace
 
 void spmv_srvpack(const SrvPackMatrix& a, std::span<const value_t> x,
                   std::span<value_t> y, Schedule sched, SrvWorkspace& ws,
-                  const SrvPlan* plan) {
+                  const SrvPlan& plan) {
   if (x.size() != static_cast<std::size_t>(a.ncols()) ||
       y.size() != static_cast<std::size_t>(a.nrows())) {
     throw std::invalid_argument("spmv_srvpack: dimension mismatch");
   }
-  if (plan != nullptr && plan->segments.size() != a.segments().size()) {
+  if (plan.segments.size() != a.segments().size()) {
     throw std::invalid_argument("spmv_srvpack: plan/segment count mismatch");
   }
 
@@ -249,7 +187,7 @@ void spmv_srvpack(const SrvPackMatrix& a, std::span<const value_t> x,
   // in the LLC before the next begins (the point of LAV segmentation).
   for (std::size_t s = 0; s < a.segments().size(); ++s) {
     const auto& seg = a.segments()[s];
-    const SpmvPlan* seg_plan = plan != nullptr ? &plan->segments[s] : nullptr;
+    const SpmvPlan& seg_plan = plan.segments[s];
     switch (a.c()) {
       case 4: run_chunks<4>(seg, xp, yp, sched, seg_plan); break;
       case 8: run_chunks<8>(seg, xp, yp, sched, seg_plan); break;

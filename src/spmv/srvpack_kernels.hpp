@@ -4,7 +4,8 @@
 // One kernel serves SELLPACK, Sell-c-σ, Sell-c-R, LAV-1Seg and LAV — the
 // format build options decide which method executes (paper Appendix A).
 // Each SRVPack chunk is processed with c-wide SIMD across its lanes; chunks
-// are distributed to threads with the requested scheduling policy; segments
+// run in the nnz-balanced blocks of a precomputed plan, handed to threads
+// work-stolen for Dyn and one contiguous run per thread otherwise; segments
 // run one after another so the input-vector working set of each segment
 // stays LLC-resident (LAV's goal).
 
@@ -25,15 +26,15 @@ struct SrvWorkspace {
 };
 
 /// y = A*x. y is fully overwritten (zero-initialized, then accumulated per
-/// segment). Throws std::invalid_argument on dimension mismatch.
-///
-/// When `plan` is non-null it must hold one chunk partition per segment
-/// (build_srv_plan); chunks then execute block-by-block with the balancing
-/// decided at prepare() time instead of per-multiplication by the OpenMP
-/// runtime. Bit-identical to the plan-less path: each chunk's accumulation
-/// is unchanged and every chunk runs exactly once.
+/// segment). `plan` holds one chunk partition per segment (build_srv_plan);
+/// chunks execute block-by-block with the balancing decided at prepare()
+/// time instead of per-multiplication by the OpenMP runtime. Every chunk
+/// runs exactly once with an unchanged accumulation, so the bits do not
+/// depend on the partition, the variant table or the thread count. Throws
+/// std::invalid_argument on dimension mismatch or a plan whose segment
+/// count differs from the matrix's.
 void spmv_srvpack(const SrvPackMatrix& a, std::span<const value_t> x,
                   std::span<value_t> y, Schedule sched, SrvWorkspace& ws,
-                  const SrvPlan* plan = nullptr);
+                  const SrvPlan& plan);
 
 }  // namespace wise

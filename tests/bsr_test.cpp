@@ -97,7 +97,7 @@ TEST(Bsr, HandlesEmptyMatrix) {
 TEST(ExtendedRegistry, AddsExtensionsWithoutTouchingPaperConfigs) {
   const auto base = all_method_configs();
   const auto ext = extended_method_configs();
-  ASSERT_EQ(ext.size(), base.size() + 6);  // 2 BSR + ELL + 2 HYB + DIA
+  ASSERT_EQ(ext.size(), base.size() + 3);  // 2 BSR + DIA
   // The paper's 29 come first, untouched — existing models stay valid.
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(ext[i], base[i]);
@@ -105,10 +105,7 @@ TEST(ExtendedRegistry, AddsExtensionsWithoutTouchingPaperConfigs) {
   EXPECT_EQ(ext[base.size()].kind, MethodKind::kBsr);
   EXPECT_EQ(ext[base.size()].name(), "BSR/b4");
   EXPECT_EQ(ext[base.size() + 1].name(), "BSR/b8");
-  EXPECT_EQ(ext[base.size() + 2].name(), "ELL");
-  EXPECT_EQ(ext[base.size() + 3].name(), "HYB/k8");
-  EXPECT_EQ(ext[base.size() + 4].name(), "HYB/k32");
-  EXPECT_EQ(ext[base.size() + 5].name(), "DIA");
+  EXPECT_EQ(ext[base.size() + 2].name(), "DIA");
 }
 
 TEST(ExtendedRegistry, BsrNameParsesBack) {

@@ -1,15 +1,13 @@
-// Tests for the ELL / HYB / DIA extension formats: conversion round-trips,
-// rejection predicates, the bit-identity contract (every format must
-// reproduce the serial CSR reference exactly — ctest reruns this binary at
-// OMP_NUM_THREADS in {1, 2, 8}), and the selection-time applicability mask.
+// Tests for the DIA extension format: conversion round-trips, rejection
+// predicates, the bit-identity contract (DIA must reproduce the serial CSR
+// reference exactly — ctest reruns this binary at OMP_NUM_THREADS in
+// {1, 2, 8}), and the selection-time applicability mask.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "sparse/dia.hpp"
-#include "sparse/ell.hpp"
-#include "sparse/hyb.hpp"
 #include "spmv/applicability.hpp"
 #include "spmv/bsr.hpp"
 #include "spmv/executor.hpp"
@@ -23,8 +21,8 @@ namespace {
 using testing::random_csr;
 using testing::random_vector;
 
-/// The bit-identity check: exact equality, not a tolerance. The format
-/// kernels replay the serial per-row CSR accumulation order, so any
+/// The bit-identity check: exact equality, not a tolerance. The DIA
+/// kernel replays the serial per-row CSR accumulation order, so any
 /// difference at all is a contract violation.
 void expect_bit_identical(std::span<const value_t> expected,
                           std::span<const value_t> actual) {
@@ -37,118 +35,6 @@ void expect_bit_identical(std::span<const value_t> expected,
 CsrMatrix banded_csr(index_t n, index_t half_bw, std::uint64_t seed,
                      double density = 1.0) {
   return CsrMatrix::from_coo(generate_banded(n, half_bw, density, seed));
-}
-
-// ------------------------------------------------------------------ ELL ----
-
-TEST(Ell, RoundTripsThroughCoo) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const CsrMatrix m = random_csr(60, 45, 3.0, seed);
-    if (!EllMatrix::accepts(m)) continue;
-    const EllMatrix ell = EllMatrix::from_csr(m);
-    ell.validate();
-    EXPECT_EQ(CsrMatrix::from_coo(ell.to_coo()), m) << "seed=" << seed;
-  }
-}
-
-TEST(Ell, RejectsPaddingBlowup) {
-  // One hub row of 100 entries in an otherwise-diagonal matrix: padded
-  // storage 100*100 = 10000 for 199 nonzeros, way past the 4x bound.
-  CooMatrix coo(100, 100);
-  for (index_t i = 0; i < 100; ++i) coo.add(i, i, 1.0);
-  for (index_t j = 0; j < 100; ++j) {
-    if (j != 0) coo.add(0, j, 2.0);
-  }
-  const CsrMatrix m = CsrMatrix::from_coo(coo);
-  EXPECT_FALSE(EllMatrix::accepts(m));
-  EXPECT_THROW(EllMatrix::from_csr(m), std::invalid_argument);
-}
-
-TEST(Ell, AcceptsUniformRowsAndReportsFill) {
-  const CsrMatrix m = banded_csr(64, 2, 4);
-  ASSERT_TRUE(EllMatrix::accepts(m));
-  const EllMatrix ell = EllMatrix::from_csr(m);
-  EXPECT_EQ(ell.nnz(), m.nnz());
-  EXPECT_GE(ell.slots(), 1);
-  EXPECT_GE(ell.fill_ratio(), 0.0);
-  EXPECT_EQ(ell.stored_entries(),
-            static_cast<nnz_t>(ell.slots()) * 64);
-}
-
-TEST(Ell, HandlesEmptyMatrixAndEmptyRows) {
-  const CsrMatrix empty = CsrMatrix::from_coo(CooMatrix(5, 5));
-  ASSERT_TRUE(EllMatrix::accepts(empty));
-  const EllMatrix ell = EllMatrix::from_csr(empty);
-  ell.validate();
-  EXPECT_EQ(ell.slots(), 0);
-
-  CooMatrix coo(10, 10);
-  coo.add(4, 4, 3.0);
-  coo.add(9, 1, 2.0);
-  coo.add(9, 7, 5.0);  // 5 nonzeros keep 20 padded slots within the 4x cap
-  coo.add(2, 0, 1.0);
-  coo.add(6, 6, 7.0);
-  const EllMatrix sparse_ell =
-      EllMatrix::from_csr(CsrMatrix::from_coo(coo));
-  sparse_ell.validate();
-  EXPECT_EQ(sparse_ell.row_len(0), 0);
-  EXPECT_EQ(sparse_ell.row_len(4), 1);
-  EXPECT_EQ(sparse_ell.row_len(9), 2);
-}
-
-// ------------------------------------------------------------------ HYB ----
-
-TEST(Hyb, RoundTripsThroughCoo) {
-  for (std::uint64_t seed : {4u, 5u}) {
-    const CsrMatrix m = random_csr(80, 60, 5.0, seed);
-    for (index_t cutoff : {0, 2, 8, 1000}) {
-      const HybMatrix hyb = HybMatrix::from_csr(m, cutoff);
-      hyb.validate();
-      EXPECT_EQ(CsrMatrix::from_coo(hyb.to_coo()), m)
-          << "cutoff=" << cutoff << " seed=" << seed;
-    }
-  }
-}
-
-TEST(Hyb, RejectsNegativeCutoff) {
-  const CsrMatrix m = random_csr(8, 8, 2.0, 6);
-  EXPECT_THROW(HybMatrix::from_csr(m, -1), std::invalid_argument);
-}
-
-TEST(Hyb, CutoffAboveMaxRowLengthIsAllEll) {
-  const CsrMatrix m = random_csr(50, 50, 4.0, 7);
-  const HybMatrix hyb = HybMatrix::from_csr(m, 1 << 20);
-  hyb.validate();
-  EXPECT_EQ(hyb.tail_nnz(), 0);
-  EXPECT_EQ(hyb.ell_nnz(), m.nnz());
-}
-
-TEST(Hyb, CutoffZeroIsAllTail) {
-  const CsrMatrix m = random_csr(50, 50, 4.0, 8);
-  const HybMatrix hyb = HybMatrix::from_csr(m, 0);
-  hyb.validate();
-  EXPECT_EQ(hyb.ell_nnz(), 0);
-  EXPECT_EQ(hyb.ell_slots(), 0);
-  EXPECT_EQ(hyb.tail_nnz(), m.nnz());
-}
-
-TEST(Hyb, SplitRuleRowSpillsIffEllPartFull) {
-  // Rows of length 1, 3 and 6 at cutoff 3: only the length-6 row spills.
-  CooMatrix coo(4, 10);
-  coo.add(0, 5, 1.0);
-  for (index_t j = 0; j < 3; ++j) coo.add(1, j, 2.0);
-  for (index_t j = 0; j < 6; ++j) coo.add(2, j, 3.0);
-  const HybMatrix hyb = HybMatrix::from_csr(CsrMatrix::from_coo(coo), 3);
-  hyb.validate();
-  EXPECT_EQ(hyb.ell_len(0), 1);
-  EXPECT_EQ(hyb.ell_len(1), 3);
-  EXPECT_EQ(hyb.ell_len(2), 3);
-  EXPECT_EQ(hyb.ell_len(3), 0);  // empty row
-  const auto trp = hyb.tail_row_ptr();
-  EXPECT_EQ(trp[1] - trp[0], 0);
-  EXPECT_EQ(trp[2] - trp[1], 0);
-  EXPECT_EQ(trp[3] - trp[2], 3);  // the 3 spilled entries of row 2
-  EXPECT_EQ(trp[4] - trp[3], 0);
 }
 
 // ------------------------------------------------------------------ DIA ----
@@ -211,72 +97,57 @@ TEST(Dia, PartiallyFilledBandMixesLaneKinds) {
 
 // -------------------------------------------------- bit-identity, SpMV ----
 
-/// Every format configuration must reproduce the serial CSR reference
-/// EXACTLY on a matrix all formats accept, both through the direct kernels
-/// (via PreparedMatrix, which also exercises the nnz-balanced row plan)
-/// and at whatever OMP_NUM_THREADS ctest pinned for this run.
+const MethodConfig kDiaConfig{.kind = MethodKind::kDia,
+                              .sched = Schedule::kStCont};
+
+/// DIA must reproduce the serial CSR reference EXACTLY, through
+/// PreparedMatrix (which also exercises the nnz-balanced row plan) and at
+/// whatever OMP_NUM_THREADS ctest pinned for this run.
 TEST(FormatKernels, BitIdenticalToSerialCsrReference) {
   const CsrMatrix m = banded_csr(257, 5, 14, 0.9);  // odd size: ragged split
   const auto x = random_vector(257, 15);
   std::vector<value_t> y_ref(257), y(257);
   spmv_reference(m, x, y_ref);
-  for (const auto& cfg : extended_method_configs()) {
-    if (cfg.kind != MethodKind::kEll && cfg.kind != MethodKind::kHyb &&
-        cfg.kind != MethodKind::kDia) {
-      continue;
-    }
-    ASSERT_TRUE(config_applicable(cfg, m)) << cfg.name();
-    PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
-    EXPECT_GT(pm.prep_seconds(), 0.0) << cfg.name();
-    EXPECT_GT(pm.memory_bytes(), 0u) << cfg.name();
-    std::fill(y.begin(), y.end(), static_cast<value_t>(-1));
-    pm.run(x, y);
-    SCOPED_TRACE(cfg.name());
-    expect_bit_identical(y_ref, y);
-  }
+  ASSERT_TRUE(config_applicable(kDiaConfig, m));
+  PreparedMatrix pm = PreparedMatrix::prepare(m, kDiaConfig);
+  EXPECT_GT(pm.prep_seconds(), 0.0);
+  EXPECT_GT(pm.memory_bytes(), 0u);
+  std::fill(y.begin(), y.end(), static_cast<value_t>(-1));
+  pm.run(x, y);
+  expect_bit_identical(y_ref, y);
 }
 
-TEST(FormatKernels, BitIdenticalOnScatteredMatrixWhereApplicable) {
-  // Random structure: DIA is inapplicable (and skipped), ELL/HYB must
-  // still be exact — irregular rows stress the guarded slot loop.
-  const CsrMatrix m = random_csr(301, 301, 6.0, 16);
+TEST(FormatKernels, BitIdenticalWithFillLanes) {
+  // A band with holes: most lanes carry fill, so the guarded loop that
+  // skips 0.0 cells must still replay the reference exactly.
+  const CsrMatrix m = banded_csr(301, 4, 16, 0.6);
   const auto x = random_vector(301, 17);
   std::vector<value_t> y_ref(301), y(301);
   spmv_reference(m, x, y_ref);
-  for (const auto& cfg : extended_method_configs()) {
-    if (cfg.kind != MethodKind::kEll && cfg.kind != MethodKind::kHyb &&
-        cfg.kind != MethodKind::kDia) {
-      continue;
-    }
-    if (!config_applicable(cfg, m)) continue;
-    PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
-    std::fill(y.begin(), y.end(), static_cast<value_t>(-1));
-    pm.run(x, y);
-    SCOPED_TRACE(cfg.name());
-    expect_bit_identical(y_ref, y);
-  }
+  ASSERT_TRUE(config_applicable(kDiaConfig, m));
+  PreparedMatrix pm = PreparedMatrix::prepare(m, kDiaConfig);
+  std::fill(y.begin(), y.end(), static_cast<value_t>(-1));
+  pm.run(x, y);
+  expect_bit_identical(y_ref, y);
 }
 
 TEST(FormatKernels, EmptyRowsProduceExactZeros) {
+  // Every row i = 1 (mod 3) is empty except row 7, whose one entry sits
+  // on a second diagonal; the fill stays above DIA's acceptance floor.
   CooMatrix coo(32, 32);
-  coo.add(7, 7, 2.5);
+  for (index_t i = 0; i < 32; ++i) {
+    if (i % 3 != 1) coo.add(i, i, 1.0 + i);
+  }
   coo.add(7, 9, -1.5);
-  coo.add(20, 3, 4.0);
   const CsrMatrix m = CsrMatrix::from_coo(coo);
   const auto x = random_vector(32, 18);
   std::vector<value_t> y_ref(32), y(32);
   spmv_reference(m, x, y_ref);
-  for (MethodKind kind :
-       {MethodKind::kEll, MethodKind::kHyb, MethodKind::kDia}) {
-    const MethodConfig cfg{
-        .kind = kind, .sched = Schedule::kStCont, .c = kind == MethodKind::kHyb ? 8 : 0};
-    if (!config_applicable(cfg, m)) continue;
-    PreparedMatrix pm = PreparedMatrix::prepare(m, cfg);
-    std::fill(y.begin(), y.end(), static_cast<value_t>(-1));
-    pm.run(x, y);
-    SCOPED_TRACE(method_kind_name(kind));
-    expect_bit_identical(y_ref, y);
-  }
+  ASSERT_TRUE(config_applicable(kDiaConfig, m));
+  PreparedMatrix pm = PreparedMatrix::prepare(m, kDiaConfig);
+  std::fill(y.begin(), y.end(), static_cast<value_t>(-1));
+  pm.run(x, y);
+  expect_bit_identical(y_ref, y);
 }
 
 // ------------------------------------------------- registry and naming ----
@@ -285,8 +156,6 @@ TEST(FormatRegistry, NamesParseBack) {
   for (const auto& cfg : extended_method_configs()) {
     EXPECT_EQ(parse_method_config(cfg.name()), cfg) << cfg.name();
   }
-  EXPECT_EQ(parse_method_config("ELL").kind, MethodKind::kEll);
-  EXPECT_EQ(parse_method_config("HYB/k8").c, 8);
   EXPECT_EQ(parse_method_config("DIA").kind, MethodKind::kDia);
 }
 
@@ -295,7 +164,7 @@ TEST(FormatRegistry, PaperSpaceIsUntouched) {
   // formats ride behind them in the extended registry only.
   EXPECT_EQ(all_method_configs().size(), 29u);
   const auto ext = extended_method_configs();
-  EXPECT_EQ(ext.size(), 35u);
+  EXPECT_EQ(ext.size(), 32u);
 }
 
 // -------------------------------------------------- applicability mask ----
@@ -309,8 +178,7 @@ TEST(Applicability, DiaMaskedOutForScatteredMatrix) {
     if (configs[i].kind == MethodKind::kDia) {
       EXPECT_EQ(mask[i], 0) << configs[i].name();
     }
-    if (configs[i].kind == MethodKind::kCsr ||
-        configs[i].kind == MethodKind::kHyb) {
+    if (configs[i].kind == MethodKind::kCsr) {
       EXPECT_NE(mask[i], 0) << configs[i].name();
     }
   }

@@ -243,7 +243,7 @@ TEST(ModelBankExtended, RejectsNameCollisionAndShapeMismatch) {
       ModelBank::extended(base, {base.configs()[0]}, {tree}),
       std::invalid_argument);
   EXPECT_THROW(
-      ModelBank::extended(base, {parse_method_config("ELL")}, {}),
+      ModelBank::extended(base, {parse_method_config("DIA")}, {}),
       std::invalid_argument);
 }
 

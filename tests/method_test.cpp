@@ -24,8 +24,6 @@ TEST(MethodRegistry, CompositionMatchesPaper) {
       case MethodKind::kLav1Seg: ++lav1; break;
       case MethodKind::kLav: ++lav; break;
       case MethodKind::kBsr:
-      case MethodKind::kEll:
-      case MethodKind::kHyb:
       case MethodKind::kDia: break;  // extensions; never in the paper space
     }
   }
@@ -66,6 +64,14 @@ TEST(MethodConfig, ParseRejectsGarbage) {
   EXPECT_THROW(parse_method_config("CSR"), std::invalid_argument);
   EXPECT_THROW(parse_method_config("CSR/Weird"), std::invalid_argument);
   EXPECT_THROW(parse_method_config("SELLPACK/x8/Dyn"), std::invalid_argument);
+}
+
+TEST(MethodConfig, ParseRejectsRemovedFormats) {
+  // Formats outside the registry must fail to parse, so a model bank
+  // naming one skips that entry instead of loading a config nothing can
+  // run (docs/FORMATS.md says why ELL and HYB are not in it).
+  EXPECT_THROW(parse_method_config("ELL"), std::invalid_argument);
+  EXPECT_THROW(parse_method_config("HYB/k8"), std::invalid_argument);
 }
 
 TEST(MethodConfig, NamesMatchExpectedFormat) {

@@ -225,9 +225,11 @@ TEST(SpecializeBitIdentity, SrvPackAcrossThreadCounts) {
       {.c = 16, .sigma = 128}};
   for (const auto& opt : options) {
     const SrvPackMatrix p = SrvPackMatrix::build(m, opt);
-    std::vector<value_t> y_generic(static_cast<std::size_t>(m.nrows()));
-    std::vector<value_t> y_spec(y_generic.size(), -1.0);
-    SrvWorkspace ws_generic, ws_spec;
+    const SrvPlan one_block = testing::one_block_srv_plan(p);
+    std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+    std::vector<value_t> y_generic(y_ref.size(), -1.0);
+    std::vector<value_t> y_spec(y_ref.size(), -1.0);
+    SrvWorkspace ws;
     for (const Schedule sched : {Schedule::kDyn, Schedule::kStCont}) {
       for (const int threads : {1, 2, 8}) {
         omp_set_num_threads(threads);
@@ -235,9 +237,13 @@ TEST(SpecializeBitIdentity, SrvPackAcrossThreadCounts) {
             build_srv_plan(p, sched, threads, /*specialize=*/false);
         const SrvPlan spec =
             build_srv_plan(p, sched, threads, /*specialize=*/true);
-        spmv_srvpack(p, x, y_generic, sched, ws_generic, &generic);
-        spmv_srvpack(p, x, y_spec, sched, ws_spec, &spec);
-        EXPECT_EQ(y_generic, y_spec)
+        spmv_srvpack(p, x, y_ref, sched, ws, one_block);
+        spmv_srvpack(p, x, y_generic, sched, ws, generic);
+        spmv_srvpack(p, x, y_spec, sched, ws, spec);
+        EXPECT_EQ(y_ref, y_generic)
+            << "c=" << opt.c << " " << schedule_name(sched) << " @ "
+            << threads << " threads";
+        EXPECT_EQ(y_ref, y_spec)
             << "c=" << opt.c << " " << schedule_name(sched) << " @ "
             << threads << " threads";
       }

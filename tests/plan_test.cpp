@@ -188,17 +188,18 @@ TEST(PlanBitIdentity, SrvPackAcrossThreadCounts) {
       {.c = 8, .sigma = kSigmaAll, .cfs = true, .segment_fractions = {0.8}}};
   for (const auto& opt : options) {
     const SrvPackMatrix p = SrvPackMatrix::build(m, opt);
-    std::vector<value_t> y_legacy(static_cast<std::size_t>(m.nrows()));
-    std::vector<value_t> y_plan(y_legacy.size(), -1.0);
-    SrvWorkspace ws_legacy, ws_plan;
+    const SrvPlan one_block = testing::one_block_srv_plan(p);
+    std::vector<value_t> y_ref(static_cast<std::size_t>(m.nrows()));
+    std::vector<value_t> y_plan(y_ref.size(), -1.0);
+    SrvWorkspace ws_ref, ws_plan;
     for (const Schedule sched :
          {Schedule::kDyn, Schedule::kSt, Schedule::kStCont}) {
       for (const int threads : {1, 2, 8}) {
         omp_set_num_threads(threads);
         const SrvPlan plan = build_srv_plan(p, sched, threads);
-        spmv_srvpack(p, x, y_legacy, sched, ws_legacy);
-        spmv_srvpack(p, x, y_plan, sched, ws_plan, &plan);
-        EXPECT_EQ(y_legacy, y_plan)
+        spmv_srvpack(p, x, y_ref, sched, ws_ref, one_block);
+        spmv_srvpack(p, x, y_plan, sched, ws_plan, plan);
+        EXPECT_EQ(y_ref, y_plan)
             << schedule_name(sched) << " @ " << threads << " threads";
       }
     }

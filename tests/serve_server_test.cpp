@@ -403,28 +403,61 @@ std::future<Response> park_worker(Server& server,
   return blocker;
 }
 
+/// Holds a server's worker inside its "blocker" request until release(),
+/// through ServerOptions::before_process. Release before any assertion
+/// that could end the test: the server's destructor joins the worker.
+class WorkerLatch {
+ public:
+  explicit WorkerLatch(ServerOptions& opts) {
+    opts.before_process = [this](const Request& req) {
+      if (req.id != "blocker") return;
+      parked_.set_value();
+      released_.wait();
+    };
+  }
+  WorkerLatch(const WorkerLatch&) = delete;
+  WorkerLatch& operator=(const WorkerLatch&) = delete;
+
+  /// Submits the blocker and returns once a worker holds it.
+  std::future<Response> park(Server& server,
+                             const std::shared_ptr<const CsrMatrix>& m) {
+    auto blocker = server.submit(run_request(m, "blocker"));
+    parked_.get_future().wait();
+    return blocker;
+  }
+
+  void release() { release_.set_value(); }
+
+ private:
+  std::promise<void> parked_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
 TEST(Server, RejectPolicyRejectsWhenQueueIsFull) {
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 1;
   opts.overflow = OverflowPolicy::kReject;
+  WorkerLatch latch(opts);
   Server server(make_predictor(MethodKind::kSellpack), opts);
   const auto m = shared_matrix(192, 41);
 
-  auto blocker = park_worker(server, m);
+  auto blocker = latch.park(server, m);
   auto queued = server.submit(run_request(m, "queued"));  // fills the queue
-  // Everything further must be rejected, not blocked.
-  int rejected = 0;
+  // While the worker is held, everything further must be rejected, not
+  // blocked.
+  std::vector<Response> overflow;
   for (int i = 0; i < 4; ++i) {
-    const Response rsp = server.call(run_request(m, "overflow"));
-    if (!rsp.ok) {
-      ++rejected;
-      EXPECT_EQ(rsp.category, ErrorCategory::kResource);
-      EXPECT_NE(rsp.error.find("queue"), std::string::npos) << rsp.error;
-    }
+    overflow.push_back(server.call(run_request(m, "overflow")));
   }
-  EXPECT_GE(rejected, 1);
-  EXPECT_GE(server.stats().rejected, static_cast<std::uint64_t>(rejected));
+  latch.release();
+  for (const Response& rsp : overflow) {
+    EXPECT_FALSE(rsp.ok);
+    EXPECT_EQ(rsp.category, ErrorCategory::kResource);
+    EXPECT_NE(rsp.error.find("queue"), std::string::npos) << rsp.error;
+  }
+  EXPECT_GE(server.stats().rejected, overflow.size());
   EXPECT_TRUE(blocker.get().ok);
   EXPECT_TRUE(queued.get().ok);
 }
@@ -433,14 +466,18 @@ TEST(Server, DeadlineExpiresWhileQueued) {
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 8;
+  WorkerLatch latch(opts);
   Server server(make_predictor(MethodKind::kSellpack), opts);
   const auto m = shared_matrix(192, 42);
 
-  auto blocker = park_worker(server, m);
+  auto blocker = latch.park(server, m);
   Request doomed = run_request(m, "doomed");
   doomed.deadline = std::chrono::milliseconds(1);
   auto doomed_future = server.submit(std::move(doomed));
-  // The blocker (4000 iterations) keeps the worker busy well past 1 ms.
+  // The deadline was stamped inside submit(); once 2 ms have passed it has
+  // expired, and only then does the worker move on to the doomed request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  latch.release();
   const Response rsp = doomed_future.get();
   EXPECT_FALSE(rsp.ok);
   EXPECT_EQ(rsp.category, ErrorCategory::kResource);

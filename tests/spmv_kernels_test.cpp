@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include "spmv/csr_kernels.hpp"
 #include "spmv/executor.hpp"
 #include "spmv/method.hpp"
@@ -171,7 +173,8 @@ TEST(SrvPackKernel, GenericWidthFallbackWorks) {
   std::vector<value_t> y_ref(50), y(50);
   spmv_reference(m, x, y_ref);
   SrvWorkspace ws;
-  spmv_srvpack(p, x, y, Schedule::kDyn, ws);
+  spmv_srvpack(p, x, y, Schedule::kDyn, ws,
+               build_srv_plan(p, Schedule::kDyn, omp_get_max_threads()));
   expect_vectors_near(y_ref, y);
 }
 
@@ -180,7 +183,8 @@ TEST(SrvPackKernel, RejectsDimensionMismatch) {
   const SrvPackMatrix p = SrvPackMatrix::build(m, {.c = 4});
   std::vector<value_t> x(10), y(5);
   SrvWorkspace ws;
-  EXPECT_THROW(spmv_srvpack(p, x, y, Schedule::kDyn, ws),
+  EXPECT_THROW(spmv_srvpack(p, x, y, Schedule::kDyn, ws,
+                            testing::one_block_srv_plan(p)),
                std::invalid_argument);
 }
 
@@ -190,7 +194,8 @@ TEST(SrvPackKernel, EmptyMatrixProducesZeroVector) {
   const auto x = random_vector(5, 2);
   std::vector<value_t> y(5, 1.0);
   SrvWorkspace ws;
-  spmv_srvpack(p, x, y, Schedule::kStCont, ws);
+  spmv_srvpack(p, x, y, Schedule::kStCont, ws,
+               testing::one_block_srv_plan(p));
   for (value_t v : y) EXPECT_EQ(v, 0.0);
 }
 
@@ -203,7 +208,8 @@ TEST(SrvPackKernel, SingleColumnMatrix) {
   const std::vector<value_t> x = {2.0};
   std::vector<value_t> y(8);
   SrvWorkspace ws;
-  spmv_srvpack(p, x, y, Schedule::kDyn, ws);
+  spmv_srvpack(p, x, y, Schedule::kDyn, ws,
+               build_srv_plan(p, Schedule::kDyn, omp_get_max_threads()));
   for (index_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(y[static_cast<std::size_t>(i)], 2.0 * (i + 1));
   }

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <numeric>
 
 #include "spmv/srvpack_kernels.hpp"
@@ -72,7 +74,8 @@ TEST_P(SrvPackOptionSpace, RoundTripsAndComputesCorrectly) {
     SrvWorkspace ws;
     for (Schedule s : {Schedule::kDyn, Schedule::kSt, Schedule::kStCont}) {
       std::fill(y.begin(), y.end(), -1.0);
-      spmv_srvpack(p, x, y, s, ws);
+      spmv_srvpack(p, x, y, s, ws,
+                   build_srv_plan(p, s, omp_get_max_threads()));
       expect_vectors_near(y_ref, y);
     }
   }
@@ -156,7 +159,8 @@ TEST_P(SrvPackShapes, AllMethodsHandleExtremeShapes) {
                         .segment_fractions = {0.7}}}) {
     const SrvPackMatrix p = SrvPackMatrix::build(m, opts);
     SrvWorkspace ws;
-    spmv_srvpack(p, x, y, Schedule::kDyn, ws);
+    spmv_srvpack(p, x, y, Schedule::kDyn, ws,
+                 build_srv_plan(p, Schedule::kDyn, omp_get_max_threads()));
     expect_vectors_near(y_ref, y);
     EXPECT_EQ(CsrMatrix::from_coo(p.to_coo()), m);
   }

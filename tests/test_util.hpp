@@ -9,6 +9,8 @@
 
 #include "gen/generators.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/srvpack.hpp"
+#include "spmv/plan.hpp"
 #include "util/prng.hpp"
 
 namespace wise::testing {
@@ -34,6 +36,18 @@ inline std::vector<value_t> random_vector(std::size_t n, std::uint64_t seed) {
   std::vector<value_t> v(n);
   for (auto& x : v) x = static_cast<value_t>(rng.next_double());
   return v;
+}
+
+/// The SRVPack bit-identity reference: each segment's chunks in one
+/// unspecialized block, so they run in chunk order through the generic
+/// chunk loop. Chunks write disjoint rows, so any covering plan must
+/// reproduce these bits exactly.
+inline SrvPlan one_block_srv_plan(const SrvPackMatrix& p) {
+  SrvPlan plan;
+  for (const auto& seg : p.segments()) {
+    plan.segments.push_back(build_balanced_plan(seg.chunk_offset, 1));
+  }
+  return plan;
 }
 
 /// Element-wise comparison with a relative tolerance that accounts for

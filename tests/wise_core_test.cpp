@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "test_util.hpp"
 #include "util/prng.hpp"
@@ -177,6 +179,49 @@ TEST(ModelBank, SaveLoadRoundTrip) {
   std::vector<double> probe(feature_count(), 0.0);
   probe[0] = 7e5;
   EXPECT_EQ(loaded.predict_classes(probe), bank.predict_classes(probe));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelBank, V2BankNamingRemovedFormatSkipsThatEntry) {
+  // A legacy v2 bank whose second entry names HYB, a format this build no
+  // longer has: the entry is skipped with exactly one warning and the
+  // other trees still load.
+  const auto data = make_bank_data(50);
+  ModelBank bank;
+  bank.train(data.configs, data.features, data.rel_times, {.max_depth = 3});
+  const auto dir =
+      (std::filesystem::temp_directory_path() / "wise_bank_v2_hyb").string();
+  bank.save(dir);
+  const std::string path = dir + "/models.txt";
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  const auto body = text.find('\n', text.find("features "));
+  ASSERT_NE(body, std::string::npos);
+  text = "wise-model-bank v2" + text.substr(body);
+  const auto name = text.find("\nCSR/St\n");
+  ASSERT_NE(name, std::string::npos);
+  text.replace(name + 1, 6, "HYB/k8");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+
+  const ModelBank loaded = ModelBank::load(dir);
+  ASSERT_EQ(loaded.configs().size(), 2u);
+  EXPECT_EQ(loaded.configs()[0].name(), "CSR/Dyn");
+  EXPECT_EQ(loaded.configs()[1].name(), "CSR/StCont");
+  int skips = 0;
+  for (const auto& w : loaded.warnings()) {
+    if (w.rfind("skipping model for 'HYB/k8'", 0) == 0) ++skips;
+  }
+  EXPECT_EQ(skips, 1);
+  // The only other warning is the legacy-format downgrade note.
+  EXPECT_EQ(loaded.warnings().size(), 2u);
   std::filesystem::remove_all(dir);
 }
 

@@ -105,7 +105,6 @@ INTERESTING_PARAMS = (
     "spmm_vs_repeated_spmv_speedup",
     "session_vs_per_iter_speedup",
     "dia_vs_best_csr_speedup",
-    "format_vs_best_csr_speedup",
     "stream_gbs",
     "shards",
 )
